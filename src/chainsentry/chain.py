@@ -184,7 +184,6 @@ class TxStore:
         self._children: dict[str, list[tuple[str, int]]] = {}
         recv: dict[str, list[str]] = {}
         spend: dict[str, list[str]] = {}
-        hour_index: dict[int, list[str]] = {}
 
         def order_key(tx_id: str):
             return (txs[tx_id].timestamp, tx_id)
@@ -199,7 +198,6 @@ class TxStore:
                 out_agg[out.addr] = out_agg.get(out.addr, 0) + out.amount
             self._agg_in[tx_id] = tuple(in_agg.items())
             self._agg_out[tx_id] = tuple(out_agg.items())
-            hour_index.setdefault(rec.timestamp // HOUR, []).append(tx_id)
             for addr in out_agg:
                 recv.setdefault(addr, []).append(tx_id)
 
@@ -228,7 +226,6 @@ class TxStore:
 
         self._addr_receive = {a: tuple(v) for a, v in recv.items()}
         self._addr_spend = {a: tuple(v) for a, v in spend.items()}
-        self._hour_index = {h: tuple(v) for h, v in hour_index.items()}
 
     def _explicit_owner(self, rec: TransactionRecord, src: str) -> str | None:
         for inp in rec.inputs:
@@ -280,9 +277,6 @@ class TxStore:
     def children(self, tx_id: str) -> list[tuple[str, int]]:
         """Transactions spending ``tx_id``'s outputs, with drawn amounts."""
         return self._children.get(tx_id, [])
-
-    def txs_in_hour(self, hour_bucket: int) -> tuple[str, ...]:
-        return self._hour_index.get(hour_bucket, ())
 
     def addresses(self):
         return self._addr_receive.keys()

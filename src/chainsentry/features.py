@@ -20,7 +20,6 @@ import numpy as np
 
 from .chain import HOUR, TxStore
 from .errors import DataError
-from .serialize import fmt_float
 from .paths import (AssetTransferPath, ForwardTrace, PathParams, backward_paths,
                     path_sets_for_address)
 
@@ -251,22 +250,28 @@ class FeatureTimeline:
 
 @dataclass(slots=True)
 class _SetTracker:
-    """Per-(address, set) store of path feature rows and visibility hours."""
+    """Per-(address, set) store of path feature rows and their aggregate.
+
+    Rows are only ever appended, so the aggregate is kept with the row count
+    it was computed from and recomputed only after new rows arrive.
+    """
 
     rows: list[np.ndarray] = field(default_factory=list)
-    valid_from: list[int] = field(default_factory=list)
     truncated: bool = False
+    _aggregate: np.ndarray | None = None
+    _aggregate_rows: int = -1
 
-    def add(self, store: TxStore, paths, hour: int) -> None:
+    def add(self, store: TxStore, paths) -> None:
         for p in paths:
             self.rows.append(path_feature_row(store, p))
-            self.valid_from.append(hour)
 
-    def aggregate(self, hour: int) -> np.ndarray:
-        if not self.rows:
-            return aggregate_path_set(np.zeros((0, len(PATH_BASE_FEATURES))))
-        mask = np.array(self.valid_from) <= hour
-        return aggregate_path_set(np.vstack(self.rows)[mask])
+    def aggregate(self) -> np.ndarray:
+        if self._aggregate_rows != len(self.rows):
+            stacked = (np.vstack(self.rows) if self.rows
+                       else np.zeros((0, len(PATH_BASE_FEATURES))))
+            self._aggregate = aggregate_path_set(stacked)
+            self._aggregate_rows = len(self.rows)
+        return self._aggregate
 
 
 def feature_timeline(store: TxStore, address: str, hours: int = 24,
@@ -300,7 +305,7 @@ def feature_timeline(store: TxStore, address: str, hours: int = 24,
             anchor = recv_ids[seen_recv]
             for horizon, set_name in (("LT", "lt_bk"), ("ST", "st_bk")):
                 ps = backward_paths(store, anchor, params.config(horizon, "BK"))
-                trackers[set_name].add(store, ps.paths, t)
+                trackers[set_name].add(store, ps.paths)
                 trackers[set_name].truncated |= ps.truncated
             seen_recv += 1
         # New forward anchors start a trace; existing traces extend.
@@ -309,18 +314,18 @@ def feature_timeline(store: TxStore, address: str, hours: int = 24,
             for horizon, set_name in (("LT", "lt_fr"), ("ST", "st_fr")):
                 trace = ForwardTrace.build(store, anchor, params.config(horizon, "FR"), cutoff)
                 fr_traces[set_name].append(trace)
-                trackers[set_name].add(store, trace.paths, t)
+                trackers[set_name].add(store, trace.paths)
                 trackers[set_name].truncated |= trace.truncated
             seen_spend += 1
         for set_name, traces in fr_traces.items():
             for trace in traces:
                 added = trace.extend(store, cutoff)
-                trackers[set_name].add(store, added, t)
+                trackers[set_name].add(store, added)
                 trackers[set_name].truncated |= trace.truncated
 
         row = [address_features(events, cutoff)]
         for set_name in PATH_SET_NAMES:
-            row.append(trackers[set_name].aggregate(t))
+            row.append(trackers[set_name].aggregate())
         matrix[t - 1] = np.concatenate(row)
 
     truncated = any(tr.truncated for tr in trackers.values())
@@ -364,12 +369,13 @@ def write_feature_csv(path, timelines: list[FeatureTimeline]) -> None:
         fh.write("address,t_index,label," + ",".join(FULL_SCHEMA) + "\n")
         for tl in timelines:
             label = "" if tl.label is None else str(tl.label)
-            for t in range(tl.hours):
-                values = ",".join(fmt_float(v) for v in tl.matrix[t])
-                fh.write(f"{tl.address},{t + 1},{label},{values}\n")
+            # repr of a Python float is what fmt_float gives a numpy scalar.
+            for t, row in enumerate(tl.matrix.tolist(), start=1):
+                fh.write(f"{tl.address},{t},{label},{','.join(map(repr, row))}\n")
 
 
-def read_feature_csv(path) -> list[FeatureTimeline]:
+def read_feature_csv(path, addresses=None) -> list[FeatureTimeline]:
+    """Timelines in file order; with ``addresses``, only those addresses'."""
     timelines: dict[str, dict] = {}
     with open(path, "r", encoding="utf-8") as fh:
         hash_line = fh.readline().strip()
@@ -382,6 +388,8 @@ def read_feature_csv(path) -> list[FeatureTimeline]:
         if header != expected:
             raise DataError("feature file header does not match the frozen schema")
         for line in fh:
+            if addresses is not None and line[:line.find(",")] not in addresses:
+                continue
             parts = line.rstrip("\n").split(",")
             address, t_index, label = parts[0], int(parts[1]), parts[2]
             entry = timelines.setdefault(address, {"label": label, "rows": {}})

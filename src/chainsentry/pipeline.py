@@ -322,7 +322,7 @@ def stage_paths(config: PipelineConfig, out_dir: Path,
         outputs.append(dump)
     record_stage(out_dir, "paths",
                  [out_dir / config.data.transactions, out_dir / config.data.labels],
-                 outputs[:50])
+                 outputs)
 
 
 _WORKER_STATE: dict = {}
@@ -388,9 +388,10 @@ def stage_features(config: PipelineConfig, out_dir: Path, jobs: int = 1) -> None
                  [features_dir / "features.csv", features_dir / "schema.json"])
 
 
-def _load_timelines(config: PipelineConfig, out_dir: Path) -> list[FeatureTimeline]:
+def _load_timelines(config: PipelineConfig, out_dir: Path,
+                    addresses=None) -> list[FeatureTimeline]:
     path = _require(out_dir / "features" / "features.csv", "features")
-    timelines = read_feature_csv(path)
+    timelines = read_feature_csv(path, addresses)
     timelines.sort(key=lambda tl: tl.address)
     return timelines
 
@@ -667,7 +668,7 @@ def stage_eval(config: PipelineConfig, out_dir: Path) -> dict:
 def explain_address(config: PipelineConfig, out_dir: Path, address: str) -> str:
     """Human-readable interpretation: status/action sequences with decision
     paths, the intention motif, and the survival trace."""
-    timelines = [tl for tl in _load_timelines(config, out_dir) if tl.address == address]
+    timelines = _load_timelines(config, out_dir, {address})
     if not timelines:
         raise NotFoundError(f"address {address!r} has no feature rows; run features")
     ctx = SequenceContext.load(out_dir)

@@ -1,12 +1,16 @@
 import numpy as np
 
+from chainsentry import features
 from chainsentry.chain import TxStore
-from chainsentry.features import (ADDRESS_FEATURES, FULL_SCHEMA, SEED_SCHEMA,
-                                  SCHEMA_HASH, _AddressEvents, address_features,
+from chainsentry.features import (ADDRESS_FEATURES, FULL_SCHEMA, PATH_SET_NAMES,
+                                  SEED_SCHEMA, SCHEMA_HASH, FeatureTimeline,
+                                  _AddressEvents, _SetTracker, address_features,
                                   aggregate_path_set, feature_timeline,
                                   feature_timeline_rebuilt, path_features,
                                   read_feature_csv, write_feature_csv)
 from chainsentry.paths import PathConfig, backward_paths
+from chainsentry.serialize import fmt_float
+from chainsentry.synth import ScenarioSpec, generate
 from conftest import HOUR, T0, tx
 from oracles import naive_aggregate
 
@@ -177,3 +181,71 @@ def test_feature_csv_roundtrip(tmp_path, case_study_store):
     assert len(back) == 1
     assert back[0].address == "hack" and back[0].label == 1
     assert np.array_equal(back[0].matrix, tl.matrix)
+
+
+def test_set_tracker_aggregate_follows_interleaved_adds(chain_store):
+    ps = backward_paths(chain_store, "dep", PathConfig("BK", "ST", 0.01, 7 * DAY))
+    assert len(ps.paths) >= 2
+    tracker = _SetTracker()
+    empty = tracker.aggregate()
+    assert empty.shape == (49,) and not empty.any()
+    for batch in ([ps.paths[0]], [], ps.paths, [], [ps.paths[-1]]):
+        tracker.add(chain_store, batch)
+        want = aggregate_path_set(np.vstack(tracker.rows))
+        assert np.array_equal(tracker.aggregate(), want)
+        assert np.array_equal(tracker.aggregate(), want)  # from the cache
+
+
+def test_timeline_aggregates_each_set_once_per_change(monkeypatch):
+    records, labels, _ = generate(
+        [ScenarioSpec("hack", 2), ScenarioSpec("exchange", 3),
+         ScenarioSpec("gambling", 2)], seed=13, noise_level=0.3)
+    store = TxStore.from_records(records, labels)
+    calls = []
+
+    def counted(rows):
+        calls.append(rows)
+        return aggregate_path_set(rows)
+
+    monkeypatch.setattr(features, "aggregate_path_set", counted)
+    count_cols = [FULL_SCHEMA.index(f"{name}__path_count") for name in PATH_SET_NAMES]
+    for address in sorted(labels):
+        calls.clear()
+        tl = feature_timeline(store, address)
+        # A set's path count changes exactly in the hours it gained rows; an
+        # empty set shows one more distinct count (zero).
+        bound = sum(np.unique(tl.matrix[:, col]).size for col in count_cols)
+        assert len(calls) <= bound, address
+        assert len(calls) < tl.hours * len(PATH_SET_NAMES), address
+
+
+def test_feature_csv_writer_matches_per_cell_format(tmp_path):
+    awkward = [-0.0, 5e-324, 1e22, 0.1 + 0.2, float(2**53 + 1),
+               float("inf"), float("nan"), -1.5, 0.0, 123456789.125]
+    matrix = np.zeros((2, len(FULL_SCHEMA)))
+    matrix[0, :len(awkward)] = awkward
+    matrix[1, -len(awkward):] = awkward[::-1]
+    path = tmp_path / "features.csv"
+    write_feature_csv(path, [FeatureTimeline("odd", 0, 0, matrix),
+                             FeatureTimeline("nolabel", None, 0, matrix[::-1])])
+    want = [f"# schema_sha256={SCHEMA_HASH}",
+            "address,t_index,label," + ",".join(FULL_SCHEMA)]
+    for address, label, m in (("odd", "0", matrix), ("nolabel", "", matrix[::-1])):
+        for t in range(m.shape[0]):
+            want.append(f"{address},{t + 1},{label},"
+                        + ",".join(fmt_float(v) for v in m[t]))
+    assert path.read_text(encoding="utf-8") == "\n".join(want) + "\n"
+
+
+def test_feature_csv_read_filtered_by_address(tmp_path, case_study_store):
+    records = list(case_study_store._txs.values())
+    store = TxStore.from_records(records, labels={"hack": 1, "dest": 0, "far": 0})
+    timelines = [feature_timeline(store, a) for a in ("hack", "dest", "far")]
+    path = tmp_path / "features.csv"
+    write_feature_csv(path, timelines)
+    full = {tl.address: tl for tl in read_feature_csv(path)}
+    for address in ("hack", "dest", "far"):
+        (only,) = read_feature_csv(path, {address})
+        assert only.address == address and only.label == full[address].label
+        assert np.array_equal(only.matrix, full[address].matrix)
+    assert read_feature_csv(path, {"nobody"}) == []

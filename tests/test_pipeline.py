@@ -4,12 +4,12 @@ import json
 import numpy as np
 import pytest
 
-from chainsentry.errors import ConfigError, DataError
+from chainsentry.errors import ConfigError, DataError, NotFoundError
 from chainsentry.pipeline import (PipelineConfig, SequenceContext, load_config,
                                   read_predictions, run_pipeline,
-                                  stage_features, stage_ingest, stage_predict,
-                                  stage_select, stage_segment, stage_synth,
-                                  explain_address)
+                                  stage_features, stage_ingest, stage_paths,
+                                  stage_predict, stage_select, stage_segment,
+                                  stage_synth, explain_address)
 
 SMALL = {
     "seed": 5,
@@ -132,6 +132,24 @@ def test_sequence_context_roundtrip(small_run):
     assert ctx.status.centers_ is not None
     seg = ctx.plan.segment_of_hour()
     assert seg.shape == (24,)
+
+
+def test_explain_unknown_address_not_found(small_run):
+    cfg, out = small_run
+    with pytest.raises(NotFoundError, match="no feature rows"):
+        explain_address(cfg, out, "nobody")
+
+
+def test_manifest_lists_every_path_dump(tmp_path):
+    cfg = load_config({"seed": 3, "scenario": {"specs": [
+        {"kind": "exchange", "count": 40}, {"kind": "merchant", "count": 15},
+    ]}})
+    stage_synth(cfg, tmp_path)
+    stage_paths(cfg, tmp_path)
+    dumps = sorted(p.name for p in (tmp_path / "paths").glob("*.jsonl"))
+    assert len(dumps) > 50
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert sorted(manifest["paths"]["outputs"]) == dumps
 
 
 def test_manifest_tracks_hashes(small_run):
