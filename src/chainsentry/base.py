@@ -114,3 +114,13 @@ def binary_f1(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     if precision + recall == 0.0:
         return 0.0
     return 2.0 * precision * recall / (precision + recall)
+
+
+def sigmoid(x):
+    """Logistic function without overflow: exp only ever sees -|x|.
+
+    Gives 1 / (1 + e) where x >= 0 and e / (1 + e) elsewhere, e = exp(-|x|);
+    the numerator max(e, x >= 0) is exactly 1 or e, so no select is needed.
+    """
+    e = np.exp(-np.abs(x))
+    return np.maximum(e, x >= 0) / (1.0 + e)

@@ -376,7 +376,6 @@ def write_feature_csv(path, timelines: list[FeatureTimeline]) -> None:
 
 def read_feature_csv(path, addresses=None) -> list[FeatureTimeline]:
     """Timelines in file order; with ``addresses``, only those addresses'."""
-    timelines: dict[str, dict] = {}
     with open(path, "r", encoding="utf-8") as fh:
         hash_line = fh.readline().strip()
         if not hash_line.startswith("# schema_sha256="):
@@ -387,17 +386,21 @@ def read_feature_csv(path, addresses=None) -> list[FeatureTimeline]:
         expected = ["address", "t_index", "label", *FULL_SCHEMA]
         if header != expected:
             raise DataError("feature file header does not match the frozen schema")
-        for line in fh:
-            if addresses is not None and line[:line.find(",")] not in addresses:
-                continue
-            parts = line.rstrip("\n").split(",")
-            address, t_index, label = parts[0], int(parts[1]), parts[2]
-            entry = timelines.setdefault(address, {"label": label, "rows": {}})
-            entry["rows"][t_index] = np.array([float(x) for x in parts[3:]])
+        lines = [line for line in fh
+                 if addresses is None or line[:line.find(",")] in addresses]
+    if not lines:
+        return []
+    values = np.loadtxt(lines, delimiter=",", ndmin=2,
+                        usecols=range(3, 3 + len(FULL_SCHEMA)))
+    timelines: dict[str, dict] = {}
+    for row, line in enumerate(lines):
+        address, t_index, label, _ = line.split(",", 3)
+        entry = timelines.setdefault(address, {"label": label, "rows": {}})
+        entry["rows"][int(t_index)] = row
     out = []
     for address, entry in timelines.items():
-        hours = max(entry["rows"])
-        matrix = np.vstack([entry["rows"][t] for t in range(1, hours + 1)])
+        rows = entry["rows"]
+        matrix = values[[rows[t] for t in range(1, max(rows) + 1)]]
         label = None if entry["label"] == "" else int(entry["label"])
         out.append(FeatureTimeline(address, label, creation_time=0, matrix=matrix))
     return out

@@ -14,18 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import ParamsMixin, as_float_matrix, as_label_vector, check_binary_labels
+from .base import (ParamsMixin, as_float_matrix, as_label_vector,
+                   check_binary_labels, sigmoid)
 from .errors import DataError, NotFittedError
 from .serialize import fmt_float
-
-
-def _sigmoid(x):
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
 
 
 @dataclass(slots=True)
@@ -198,7 +190,7 @@ class GBTClassifier(ParamsMixin):
         self.trees_ = []
         self.train_losses_ = []
         for _ in range(self.n_rounds):
-            p = _sigmoid(margin)
+            p = sigmoid(margin)
             g = w * (p - yu)
             h = w * p * (1.0 - p)
             tree = _RegressionTree()
@@ -206,7 +198,7 @@ class GBTClassifier(ParamsMixin):
                      self.reg_lambda)
             self.trees_.append(tree)
             margin = margin + self.learning_rate * tree.predict(Xu)
-            p = _sigmoid(margin)
+            p = sigmoid(margin)
             eps = 1e-15
             ll = -(yu * np.log(np.clip(p, eps, 1.0))
                    + (1.0 - yu) * np.log(np.clip(1.0 - p, eps, 1.0)))
@@ -223,7 +215,7 @@ class GBTClassifier(ParamsMixin):
         return margin
 
     def predict_proba(self, X) -> np.ndarray:
-        p1 = _sigmoid(self.decision_margin(X))
+        p1 = sigmoid(self.decision_margin(X))
         return np.column_stack([1.0 - p1, p1])
 
     def predict(self, X) -> np.ndarray:

@@ -17,26 +17,27 @@ surrogate that penalizes prediction sign flips between consecutive steps,
 and an earliness term +-S(t) pushing survival down for positives and up for
 negatives.  Gradients are computed analytically in reverse; they are checked
 against central finite differences in the test suite.
+
+Only the LSTM cell recurrence runs step by step, with the three branches
+stacked as one (3, B, d_h) state so each step is one batched ``h @ U``.
+Everything else (embeddings, bottleneck, input projections, hazard and
+attention heads, losses, and every weight gradient) runs once over
+time-major (T, B, ...) arrays.  Matmuls over those arrays run as one B-row
+GEMM per step inside numpy rather than one (T * B)-row GEMM: at these sizes
+a GEMM that large wakes extra BLAS threads that cost CPU time but save no
+wall time.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from ..base import sigmoid
 from ..errors import DataError
 from .params import BRANCHES, Dims, IntentionConfig
 
 PROB_CLIP = 1e-12
-
-
-def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
 
 
 def _softplus(x):
@@ -105,50 +106,91 @@ class SequenceBatch:
         )
 
 
-def _lstm_forward(params, br, inp, h_prev, c_prev, d_h):
-    pre = inp @ params[f"lstm_{br}_W"].T + h_prev @ params[f"lstm_{br}_U"].T \
-        + params[f"lstm_{br}_b"]
-    i = _sigmoid(pre[:, :d_h])
-    f = _sigmoid(pre[:, d_h:2 * d_h])
-    o = _sigmoid(pre[:, 2 * d_h:3 * d_h])
-    g = np.tanh(pre[:, 3 * d_h:])
-    c = f * c_prev + i * g
-    tc = np.tanh(c)
-    h = o * tc
-    return {"inp": inp, "h_prev": h_prev, "c_prev": c_prev, "i": i, "f": f,
-            "o": o, "g": g, "c": c, "tc": tc, "h": h}
+def _linear(x, W, b=None):
+    """x @ W.T (+ b) over the last axis of a (T, B, n) array."""
+    out = x @ np.ascontiguousarray(W.T)
+    return out if b is None else out + b
 
 
-def _lstm_backward(params, grads, br, cache, gh, gc_in):
-    i, f, o, g, tc = cache["i"], cache["f"], cache["o"], cache["g"], cache["tc"]
-    gc = gc_in + gh * o * (1.0 - tc * tc)
-    go = gh * tc
-    gf = gc * cache["c_prev"]
-    gi = gc * g
-    gg = gc * i
-    gc_prev = gc * f
-    gpre = np.concatenate(
-        [gi * i * (1 - i), gf * f * (1 - f), go * o * (1 - o), gg * (1 - g * g)],
-        axis=1,
-    )
-    grads[f"lstm_{br}_W"] += gpre.T @ cache["inp"]
-    grads[f"lstm_{br}_U"] += gpre.T @ cache["h_prev"]
-    grads[f"lstm_{br}_b"] += gpre.sum(axis=0)
-    ginp = gpre @ params[f"lstm_{br}_W"]
-    gh_prev = gpre @ params[f"lstm_{br}_U"]
-    return ginp, gh_prev, gc_prev
+def _outer_sum(g, x):
+    """Sum over the leading (step) axis of g[t].T @ x[t]: the weight gradient
+    of a linear map applied at every step."""
+    return np.matmul(g.swapaxes(-1, -2), x).sum(axis=0)
+
+
+def _lstm_forward(xw, U):
+    """Stacked LSTM recurrence over all steps.
+
+    ``xw`` (T, K, B, 4 d_h) holds every step's input projection plus bias for
+    K branches and ``U`` (K, 4 d_h, d_h) their recurrent weights; gates are
+    ordered i, f, o, g.  ``h`` and ``c`` carry a leading zero state, so step
+    t reads index t and writes index t + 1.
+    """
+    T, K, B, four_h = xw.shape
+    d_h = four_h // 4
+    UT = np.ascontiguousarray(U.swapaxes(1, 2))
+    gates = np.empty_like(xw)
+    h = np.zeros((T + 1, K, B, d_h))
+    c = np.zeros((T + 1, K, B, d_h))
+    tc = np.empty((T, K, B, d_h))
+    for t in range(T):
+        pre = xw[t] + h[t] @ UT
+        act = gates[t]
+        act[..., :3 * d_h] = sigmoid(pre[..., :3 * d_h])
+        np.tanh(pre[..., 3 * d_h:], out=act[..., 3 * d_h:])
+        c[t + 1] = act[..., d_h:2 * d_h] * c[t] + act[..., :d_h] * act[..., 3 * d_h:]
+        np.tanh(c[t + 1], out=tc[t])
+        np.multiply(act[..., 2 * d_h:3 * d_h], tc[t], out=h[t + 1])
+    return {"gates": gates, "h": h, "c": c, "tc": tc}
+
+
+def _lstm_backward(lstm, U, gh_in):
+    """Gradient (T, K, B, 4 d_h) of the gate pre-activations.
+
+    ``gh_in`` (T, K, B, d_h) is the gradient reaching each hidden state from
+    outside the recurrence, so only the carry through ``U`` and the forget
+    gate runs step by step.
+    """
+    gates, c, tc = lstm["gates"], lstm["c"], lstm["tc"]
+    T, K, B, d_h = tc.shape
+    gates = gates.reshape(T, K, B, 4, d_h)
+    gpre = np.empty((T, K, B, 4 * d_h))
+    gh_carry = np.zeros((K, B, d_h))
+    gc_carry = np.zeros((K, B, d_h))
+    for t in range(T - 1, -1, -1):
+        i, f, o, g = (gates[t, :, :, k] for k in range(4))
+        gh = gh_in[t] + gh_carry
+        gc = gh * o * (1.0 - tc[t] * tc[t]) + gc_carry
+        gp = gpre[t].reshape(K, B, 4, d_h)
+        np.multiply(gc * g, i * (1.0 - i), out=gp[:, :, 0])
+        np.multiply(gc * c[t], f * (1.0 - f), out=gp[:, :, 1])
+        np.multiply(gh * tc[t], o * (1.0 - o), out=gp[:, :, 2])
+        np.multiply(gc * i, 1.0 - g * g, out=gp[:, :, 3])
+        gh_carry = gpre[t] @ U
+        gc_carry = gc * f
+    return gpre
+
+
+def _stack(params, part):
+    return np.stack([params[f"lstm_{br}_{part}"] for br in BRANCHES])
 
 
 @dataclass(slots=True)
 class ForwardPass:
-    steps: list[dict] = field(default_factory=list)
-    y: np.ndarray | None = None        # (B, T) fused prediction
-    p_hat: np.ndarray | None = None    # (B, T) survival-blended prediction
-    survival: np.ndarray | None = None  # (B, T)
-    hazard: np.ndarray | None = None   # (B, T)
-    alphas: np.ndarray | None = None   # (B, T, 3) order (S, A, I)
-    z: np.ndarray | None = None        # (B, T, d_z)
-    intention_idx: np.ndarray | None = None  # (B, T)
+    """Per-address outputs in (B, T, ...) order.
+
+    ``cache`` keeps the time-major (T, B, ...) intermediates that the losses
+    and the backward pass read.
+    """
+
+    y: np.ndarray              # (B, T) fused prediction
+    p_hat: np.ndarray          # (B, T) survival-blended prediction
+    survival: np.ndarray       # (B, T)
+    hazard: np.ndarray         # (B, T)
+    alphas: np.ndarray         # (B, T, 3) order (S, A, I)
+    z: np.ndarray              # (B, T, d_z)
+    intention_idx: np.ndarray  # (B, T)
+    cache: dict
 
 
 def forward_pass(params: dict, batch: SequenceBatch, dims: Dims,
@@ -156,127 +198,85 @@ def forward_pass(params: dict, batch: SequenceBatch, dims: Dims,
     """Run the network over all steps; ``noise`` is (T, B, d_z) or None for
     deterministic inference (z = mu)."""
     B, T = batch.n_addresses, batch.n_steps
-    d_h, d_z, d_e = dims.d_h, dims.d_z, dims.d_e
-    fw = ForwardPass()
-    fw.y = np.zeros((B, T))
-    fw.p_hat = np.zeros((B, T))
-    fw.survival = np.zeros((B, T))
-    fw.hazard = np.zeros((B, T))
-    fw.alphas = np.zeros((B, T, 3))
-    fw.z = np.zeros((B, T, d_z))
-    fw.intention_idx = np.zeros((B, T), dtype=np.int64)
 
-    h = {br: np.zeros((B, d_h)) for br in BRANCHES}
-    c = {br: np.zeros((B, d_h)) for br in BRANCHES}
-    Lam = np.zeros(B)
-    p_hat_prev = np.full(B, 0.5)
+    # -- bottleneck --------------------------------------------------------
+    sidx, aidx = batch.status_idx.T, batch.action_idx.T
+    u = np.concatenate([params["emb_s"][sidx], params["emb_a"][aidx]], axis=2)
+    x = np.tanh(_linear(u, params["enc_W"], params["enc_b"]))
+    mu = _linear(x, params["mu_W"], params["mu_b"])
+    sg = _linear(x, params["sg_W"], params["sg_b"])
+    e = noise if noise is not None else np.zeros((T, B, dims.d_z))
+    z = mu + np.exp(sg) * e
+    dh = np.tanh(_linear(z, params["dec_W1"], params["dec_b1"]))
+    xh = _linear(dh, params["dec_W2"], params["dec_b2"])
+    iidx = intention_index_of(z)
+    if dims.use_idx:
+        zeff = np.concatenate([z, params["emb_i"][iidx - 1]], axis=2)
+    else:
+        zeff = z
 
+    # -- LSTMs: branch k reads [zeff, side input k] ---------------------------
+    feats = batch.features.swapaxes(0, 1)
+    sv = batch.status_vec.swapaxes(0, 1)
+    av = batch.action_vec.swapaxes(0, 1)
+    inp = np.concatenate(
+        [np.broadcast_to(zeff[:, None], (T, 3, B, dims.z_eff)),
+         np.stack([feats, sv, av], axis=1)], axis=3)
+    xw = (inp @ np.ascontiguousarray(_stack(params, "W").swapaxes(1, 2))
+          + _stack(params, "b")[:, None, :])
+    lstm = _lstm_forward(xw, _stack(params, "U"))
+
+    # -- hazard and survival ----------------------------------------------------
+    haz_pre = (np.einsum("tkbd,kd->tkb", lstm["h"][1:], params["haz_w"])
+               + params["haz_b"][:, None])
+    lam = _softplus(haz_pre).sum(axis=1)
+    S = np.exp(-np.cumsum(lam, axis=0))
+
+    # -- attention fusion ---------------------------------------------------------
+    att_in = {"s": np.concatenate([feats, sv], axis=2),
+              "a": np.concatenate([feats, av], axis=2),
+              "i": np.concatenate([feats, zeff], axis=2)}
+    q = {br: np.tanh(_linear(att_in[br], params[f"att_w_{br}"])) for br in att_in}
+    scores = np.stack([q[br] @ params["att_v"] for br in ("s", "a", "i")], axis=2)
+    expa = np.exp(scores - scores.max(axis=2, keepdims=True))
+    alpha = expa / expa.sum(axis=2, keepdims=True)
+    y = (alpha[..., 0] * batch.p_status.T + alpha[..., 1] * batch.p_action.T
+         + alpha[..., 2] * (1.0 - S))
+    p_hat = np.empty((T, B))
+    prev = np.full(B, 0.5)
     for t in range(T):
-        step: dict = {}
-        sidx = batch.status_idx[:, t]
-        aidx = batch.action_idx[:, t]
-        se = params["emb_s"][sidx]
-        ae = params["emb_a"][aidx]
-        u = np.concatenate([se, ae], axis=1)
-        enc_pre = u @ params["enc_W"].T + params["enc_b"]
-        x = np.tanh(enc_pre)
-        mu = x @ params["mu_W"].T + params["mu_b"]
-        sg = x @ params["sg_W"].T + params["sg_b"]
-        e = noise[t] if noise is not None else np.zeros((B, d_z))
-        z = mu + np.exp(sg) * e
-        dec_pre = z @ params["dec_W1"].T + params["dec_b1"]
-        dh = np.tanh(dec_pre)
-        xh = dh @ params["dec_W2"].T + params["dec_b2"]
-        iidx = intention_index_of(z)
-        if dims.use_idx:
-            ie = params["emb_i"][iidx - 1]
-            zeff = np.concatenate([z, ie], axis=1)
-        else:
-            ie = None
-            zeff = z
+        prev = p_hat[t] = S[t] * y[t] + (1.0 - S[t]) * prev
 
-        f_t = batch.features[:, t, :]
-        sv = batch.status_vec[:, t, :]
-        av = batch.action_vec[:, t, :]
-        lstm_in = {
-            "f": np.concatenate([zeff, f_t], axis=1),
-            "s": np.concatenate([zeff, sv], axis=1),
-            "a": np.concatenate([zeff, av], axis=1),
-        }
-        lstm = {}
-        for br in BRANCHES:
-            lstm[br] = _lstm_forward(params, br, lstm_in[br], h[br], c[br], d_h)
-            h[br] = lstm[br]["h"]
-            c[br] = lstm[br]["c"]
+    return ForwardPass(
+        y=y.T, p_hat=p_hat.T, survival=S.T, hazard=lam.T,
+        alphas=alpha.swapaxes(0, 1), z=z.swapaxes(0, 1), intention_idx=iidx.T,
+        cache=dict(u=u, x=x, mu=mu, sg=sg, e=e, z=z, dh=dh, xh=xh, iidx=iidx,
+                   sidx=sidx, aidx=aidx, inp=inp, lstm=lstm, haz_pre=haz_pre,
+                   att_in=att_in, q=q, alpha=alpha),
+    )
 
-        haz_pre = np.stack(
-            [lstm[br]["h"] @ params["haz_w"][k] + params["haz_b"][k]
-             for k, br in enumerate(BRANCHES)],
-            axis=1,
-        )  # (B, 3)
-        lam = _softplus(haz_pre).sum(axis=1)
-        Lam = Lam + lam
-        S = np.exp(-Lam)
 
-        att_in = {
-            "s": np.concatenate([f_t, sv], axis=1),
-            "a": np.concatenate([f_t, av], axis=1),
-            "i": np.concatenate([f_t, zeff], axis=1),
-        }
-        q = {}
-        a_scores = np.zeros((B, 3))
-        for k, br in enumerate(("s", "a", "i")):
-            q[br] = np.tanh(att_in[br] @ params[f"att_w_{br}"].T)
-            a_scores[:, k] = q[br] @ params["att_v"]
-        a_shift = a_scores - a_scores.max(axis=1, keepdims=True)
-        expa = np.exp(a_shift)
-        alpha = expa / expa.sum(axis=1, keepdims=True)
-
-        p_i = 1.0 - S
-        y = alpha[:, 0] * batch.p_status[:, t] + alpha[:, 1] * batch.p_action[:, t] \
-            + alpha[:, 2] * p_i
-        p_hat = S * y + (1.0 - S) * p_hat_prev
-
-        step.update(u=u, x=x, mu=mu, sg=sg, e=e, z=z, dh=dh, xh=xh,
-                    iidx=iidx, ie=ie, zeff=zeff, lstm=lstm, haz_pre=haz_pre,
-                    lam=lam, Lam=Lam.copy(), S=S, att_in=att_in, q=q,
-                    alpha=alpha, y=y, sidx=sidx, aidx=aidx)
-        fw.steps.append(step)
-        fw.y[:, t] = y
-        fw.p_hat[:, t] = p_hat
-        fw.survival[:, t] = S
-        fw.hazard[:, t] = lam
-        fw.alphas[:, t] = alpha
-        fw.z[:, t] = z
-        fw.intention_idx[:, t] = iidx
-        p_hat_prev = p_hat
-
-    return fw
+def _step_weights(T: int) -> np.ndarray:
+    return np.sqrt(np.arange(1.0, T + 1.0))
 
 
 def loss_terms(batch: SequenceBatch, fw: ForwardPass, config: IntentionConfig):
     """Per-term sqrt(t)-weighted sums over the batch."""
-    B, T = batch.n_addresses, batch.n_steps
+    w = _step_weights(batch.n_steps)
     labels = batch.labels.astype(np.float64)
-    terms = {"pred": 0.0, "vae_kl": 0.0, "recon": 0.0, "consistency": 0.0,
-             "consistency_01": 0.0, "earliness": 0.0}
-    for t in range(T):
-        w = np.sqrt(t + 1.0)
-        step = fw.steps[t]
-        y = step["y"]
-        terms["pred"] += w * float(np.sum(
-            -labels * np.log(y) - (1.0 - labels) * np.log(1.0 - y)
-        ))
-        mu, sg = step["mu"], step["sg"]
-        terms["vae_kl"] += w * float(np.sum(np.exp(sg) - (1.0 + sg) + mu * mu))
-        diff = step["xh"] - step["u"]
-        terms["recon"] += w * float(np.sum(diff * diff))
-        if t > 0:
-            v = -(y - 0.5) * (fw.steps[t - 1]["y"] - 0.5)
-            terms["consistency"] += w * float(np.sum(np.maximum(v, 0.0)))
-            terms["consistency_01"] += w * float(np.sum(v > 0.0))
-        s_term = np.where(labels == 1, step["S"], -step["S"])
-        terms["earliness"] += w * float(np.sum(s_term))
+    y, S = fw.y.T, fw.survival.T
+    mu, sg = fw.cache["mu"], fw.cache["sg"]
+    diff = fw.cache["xh"] - fw.cache["u"]
+    v = -(y[1:] - 0.5) * (y[:-1] - 0.5)
+    terms = {
+        "pred": w @ (-labels * np.log(y) - (1.0 - labels) * np.log(1.0 - y)).sum(axis=1),
+        "vae_kl": w @ (np.exp(sg) - (1.0 + sg) + mu * mu).sum(axis=(1, 2)),
+        "recon": w @ (diff * diff).sum(axis=(1, 2)),
+        "consistency": w[1:] @ np.maximum(v, 0.0).sum(axis=1),
+        "consistency_01": w[1:] @ (v > 0.0).sum(axis=1),
+        "earliness": w @ np.where(labels == 1, S, -S).sum(axis=1),
+    }
+    terms = {k: float(val) for k, val in terms.items()}
     terms["total"] = (terms["pred"]
                       + config.gamma_v * (terms["vae_kl"] + config.recon_weight * terms["recon"])
                       + config.gamma_c * terms["consistency"]
@@ -296,113 +296,87 @@ def compute_loss_and_grads(params: dict, batch: SequenceBatch, dims: Dims,
     """Analytic gradients of the total training loss for every parameter."""
     fw = forward_pass(params, batch, dims, noise)
     terms = loss_terms(batch, fw, config)
-    B, T = batch.n_addresses, batch.n_steps
-    d_h, d_z, d_e = dims.d_h, dims.d_z, dims.d_e
+    c = fw.cache
+    T = batch.n_steps
+    d_z, d_e, d_f = dims.d_z, dims.d_e, dims.d_f
     labels = batch.labels.astype(np.float64)
-    sign_e = np.where(labels == 1, 1.0, -1.0)
+    w = _step_weights(T)[:, None]
+    y, S, alpha = fw.y.T, fw.survival.T, c["alpha"]
+    grads: dict[str, np.ndarray] = {}
 
-    grads = {k: np.zeros_like(v) for k, v in params.items()}
-    gh_next = {br: np.zeros((B, d_h)) for br in BRANCHES}
-    gc_next = {br: np.zeros((B, d_h)) for br in BRANCHES}
-    gLam_next = np.zeros(B)
-    gy_from_next = np.zeros(B)
+    # -- prediction endpoints -----------------------------------------------
+    gy = w * (-labels / y + (1.0 - labels) / (1.0 - y))
+    active = (-(y[1:] - 0.5) * (y[:-1] - 0.5)) > 0.0
+    hinge = w[1:] * config.gamma_c * active
+    gy[1:] += hinge * (-(y[:-1] - 0.5))
+    gy[:-1] += hinge * (-(y[1:] - 0.5))
+    galpha = gy[..., None] * np.stack(
+        [batch.p_status.T, batch.p_action.T, 1.0 - S], axis=2)
+    gS = -gy * alpha[..., 2] + w * config.gamma_e * np.where(labels == 1, 1.0, -1.0)
 
-    for t in range(T - 1, -1, -1):
-        w = np.sqrt(t + 1.0)
-        step = fw.steps[t]
-        y = step["y"]
-        S = step["S"]
-        alpha = step["alpha"]
+    # -- survival chain: hazard at step t feeds survival at every s >= t ------
+    glam = np.cumsum((gS * -S)[::-1], axis=0)[::-1]
+    h = c["lstm"]["h"]
+    ghaz = glam[:, None, :] * sigmoid(c["haz_pre"])  # (T, 3, B)
+    grads["haz_w"] = np.einsum("tkb,tkbd->kd", ghaz, h[1:])
+    grads["haz_b"] = ghaz.sum(axis=(0, 2))
+    gh = ghaz[..., None] * params["haz_w"][:, None, :]
 
-        # -- prediction endpoints --------------------------------------------
-        gy = w * (-labels / y + (1.0 - labels) / (1.0 - y)) + gy_from_next
-        if t > 0:
-            y_prev = fw.steps[t - 1]["y"]
-            active = (-(y - 0.5) * (y_prev - 0.5)) > 0.0
-            gy += w * config.gamma_c * active * (-(y_prev - 0.5))
-            gy_from_next = w * config.gamma_c * active * (-(y - 0.5))
-        else:
-            gy_from_next = np.zeros(B)
+    # -- attention ------------------------------------------------------------
+    ga = alpha * (galpha - (galpha * alpha).sum(axis=2, keepdims=True))
+    grads["att_v"] = np.zeros_like(params["att_v"])
+    for k, br in enumerate(("s", "a", "i")):
+        q = c["q"][br]
+        grads["att_v"] += (q * ga[..., k, None]).sum(axis=(0, 1))
+        gqpre = ga[..., k, None] * params["att_v"] * (1.0 - q * q)
+        grads[f"att_w_{br}"] = _outer_sum(gqpre, c["att_in"][br])
+    gzeff = gqpre @ np.ascontiguousarray(params["att_w_i"][:, d_f:])
 
-        galpha = np.column_stack([
-            gy * batch.p_status[:, t],
-            gy * batch.p_action[:, t],
-            gy * (1.0 - S),
-        ])
-        gS = -gy * alpha[:, 2] + w * config.gamma_e * sign_e
+    # -- LSTMs ----------------------------------------------------------------
+    W = _stack(params, "W")
+    gpre = _lstm_backward(c["lstm"], _stack(params, "U"), gh)
+    gW = _outer_sum(gpre, c["inp"])
+    gU = _outer_sum(gpre, h[:-1])
+    gb = gpre.sum(axis=(0, 2))
+    for k, br in enumerate(BRANCHES):
+        grads[f"lstm_{br}_W"], grads[f"lstm_{br}_U"], grads[f"lstm_{br}_b"] = \
+            gW[k], gU[k], gb[k]
+    gzeff += (gpre @ np.ascontiguousarray(W[:, :, :dims.z_eff])).sum(axis=1)
 
-        # -- survival chain ---------------------------------------------------
-        gLam = gS * (-S) + gLam_next
-        glam = gLam
-        gLam_next = gLam
+    # -- bottleneck -----------------------------------------------------------
+    gz = gzeff[..., :d_z]
+    if dims.use_idx:
+        grads["emb_i"] = np.zeros_like(params["emb_i"])
+        np.add.at(grads["emb_i"], c["iidx"] - 1, gzeff[..., d_z:])
 
-        sig_h = _sigmoid(step["haz_pre"])  # (B, 3)
-        gh = {br: gh_next[br].copy() for br in BRANCHES}
-        for k, br in enumerate(BRANCHES):
-            gpre = glam * sig_h[:, k]
-            grads["haz_w"][k] += gpre @ step["lstm"][br]["h"]
-            grads["haz_b"][k] += gpre.sum()
-            gh[br] += gpre[:, None] * params["haz_w"][k][None, :]
+    gxh = (w * config.gamma_v * config.recon_weight * 2.0)[..., None] * (c["xh"] - c["u"])
+    grads["dec_W2"] = _outer_sum(gxh, c["dh"])
+    grads["dec_b2"] = gxh.sum(axis=(0, 1))
+    gdec_pre = (gxh @ params["dec_W2"]) * (1.0 - c["dh"] ** 2)
+    grads["dec_W1"] = _outer_sum(gdec_pre, c["z"])
+    grads["dec_b1"] = gdec_pre.sum(axis=(0, 1))
+    gz = gz + gdec_pre @ params["dec_W1"]
 
-        # -- attention ---------------------------------------------------------
-        row = (galpha * alpha).sum(axis=1, keepdims=True)
-        ga = alpha * (galpha - row)
-        gzeff = np.zeros((B, step["zeff"].shape[1]))
-        for k, br in enumerate(("s", "a", "i")):
-            q = step["q"][br]
-            gq = ga[:, k][:, None] * params["att_v"][None, :]
-            grads["att_v"] += (q * ga[:, k][:, None]).sum(axis=0)
-            gqpre = gq * (1.0 - q * q)
-            grads[f"att_w_{br}"] += gqpre.T @ step["att_in"][br]
-            gcat = gqpre @ params[f"att_w_{br}"]
-            if br == "i":
-                gzeff += gcat[:, dims.d_f:]
+    coef_kl = (w * config.gamma_v)[..., None]
+    esg = np.exp(c["sg"])
+    gmu = coef_kl * 2.0 * c["mu"] + gz
+    gsg = coef_kl * (esg - 1.0) + gz * esg * c["e"]
+    gx = gmu @ params["mu_W"] + gsg @ params["sg_W"]
+    grads["mu_W"] = _outer_sum(gmu, c["x"])
+    grads["mu_b"] = gmu.sum(axis=(0, 1))
+    grads["sg_W"] = _outer_sum(gsg, c["x"])
+    grads["sg_b"] = gsg.sum(axis=(0, 1))
 
-        # -- LSTMs --------------------------------------------------------------
-        for br in BRANCHES:
-            ginp, gh_prev, gc_prev = _lstm_backward(
-                params, grads, br, step["lstm"][br], gh[br], gc_next[br]
-            )
-            gzeff += ginp[:, :dims.z_eff]
-            gh_next[br] = gh_prev
-            gc_next[br] = gc_prev
+    genc_pre = gx * (1.0 - c["x"] ** 2)
+    grads["enc_W"] = _outer_sum(genc_pre, c["u"])
+    grads["enc_b"] = genc_pre.sum(axis=(0, 1))
+    gu = genc_pre @ params["enc_W"] - gxh
+    grads["emb_s"] = np.zeros_like(params["emb_s"])
+    grads["emb_a"] = np.zeros_like(params["emb_a"])
+    np.add.at(grads["emb_s"], c["sidx"], gu[..., :d_e])
+    np.add.at(grads["emb_a"], c["aidx"], gu[..., d_e:])
 
-        # -- bottleneck ----------------------------------------------------------
-        gz = gzeff[:, :d_z].copy()
-        if dims.use_idx:
-            gie = gzeff[:, d_z:]
-            np.add.at(grads["emb_i"], step["iidx"] - 1, gie)
-
-        coef_r = w * config.gamma_v * config.recon_weight
-        gxh = coef_r * 2.0 * (step["xh"] - step["u"])
-        gu = -gxh.copy()  # reconstruction target path
-        grads["dec_W2"] += gxh.T @ step["dh"]
-        grads["dec_b2"] += gxh.sum(axis=0)
-        gdh = gxh @ params["dec_W2"]
-        gdec_pre = gdh * (1.0 - step["dh"] ** 2)
-        grads["dec_W1"] += gdec_pre.T @ step["z"]
-        grads["dec_b1"] += gdec_pre.sum(axis=0)
-        gz += gdec_pre @ params["dec_W1"]
-
-        coef_kl = w * config.gamma_v
-        gmu = coef_kl * 2.0 * step["mu"] + gz
-        gsg = coef_kl * (np.exp(step["sg"]) - 1.0) + gz * np.exp(step["sg"]) * step["e"]
-
-        gx = gmu @ params["mu_W"] + gsg @ params["sg_W"]
-        grads["mu_W"] += gmu.T @ step["x"]
-        grads["mu_b"] += gmu.sum(axis=0)
-        grads["sg_W"] += gsg.T @ step["x"]
-        grads["sg_b"] += gsg.sum(axis=0)
-
-        genc_pre = gx * (1.0 - step["x"] ** 2)
-        grads["enc_W"] += genc_pre.T @ step["u"]
-        grads["enc_b"] += genc_pre.sum(axis=0)
-        gu += genc_pre @ params["enc_W"]
-
-        np.add.at(grads["emb_s"], step["sidx"], gu[:, :d_e])
-        np.add.at(grads["emb_a"], step["aidx"], gu[:, d_e:])
-
-    return terms, grads, fw
+    return terms, {k: grads[k] for k in params}, fw
 
 
 def t_die(survival_row: np.ndarray, death_eps: float) -> int | None:

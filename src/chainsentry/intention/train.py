@@ -13,7 +13,7 @@ import numpy as np
 from ..base import ParamsMixin
 from ..errors import DataError, NotFittedError
 from .network import (ForwardPass, SequenceBatch, compute_loss_and_grads,
-                      forward_pass, motif, t_die)
+                      forward_pass)
 from .params import (Dims, IntentionConfig, flatten_params, init_params,
                      unflatten_params)
 
@@ -72,22 +72,8 @@ def train(batch: SequenceBatch, dims: Dims, config: IntentionConfig,
     return params, epoch_losses
 
 
-@dataclass(slots=True)
-class IntentionOutputs:
-    """Deterministic per-step outputs for a batch of addresses."""
-
-    addresses: tuple[str, ...]
-    p_malicious: np.ndarray   # (B, T) survival-blended prediction
-    fused: np.ndarray         # (B, T) pre-blend fused prediction
-    survival: np.ndarray      # (B, T)
-    alphas: np.ndarray        # (B, T, 3)
-    intention_idx: np.ndarray  # (B, T)
-    t_die: tuple[int | None, ...]
-    motifs: tuple[tuple[int, ...], ...]
-
-
 class IntentionNetwork(ParamsMixin):
-    """fit/predict wrapper around the sequence network."""
+    """fit/forward wrapper around the sequence network."""
 
     def __init__(self, config: IntentionConfig | None = None):
         self.config = config or IntentionConfig()
@@ -95,39 +81,15 @@ class IntentionNetwork(ParamsMixin):
         self.dims_: Dims | None = None
         self.epoch_losses_: list[float] | None = None
 
-    def fit(self, batch: SequenceBatch, k_status: int, k_action: int,
-            checkpoint_hook=None):
+    def fit(self, batch: SequenceBatch, k_status: int, k_action: int):
         if batch.status_idx.max() >= k_status or batch.action_idx.max() >= k_action:
             raise DataError("cluster index exceeds the declared catalog size")
         self.dims_ = Dims.from_config(self.config, batch.features.shape[2],
                                       k_status, k_action)
-        self.params_, self.epoch_losses_ = train(batch, self.dims_, self.config,
-                                                 checkpoint_hook)
+        self.params_, self.epoch_losses_ = train(batch, self.dims_, self.config)
         return self
 
     def forward(self, batch: SequenceBatch) -> ForwardPass:
         if self.params_ is None:
             raise NotFittedError("IntentionNetwork is not fitted")
         return forward_pass(self.params_, batch, self.dims_, noise=None)
-
-    def predict_outputs(self, batch: SequenceBatch) -> IntentionOutputs:
-        fw = self.forward(batch)
-        eps = self.config.death_eps
-        dies = tuple(t_die(fw.survival[i], eps) for i in range(batch.n_addresses))
-        motifs = tuple(tuple(motif(fw, i, eps)) for i in range(batch.n_addresses))
-        return IntentionOutputs(
-            addresses=batch.addresses,
-            p_malicious=fw.p_hat,
-            fused=fw.y,
-            survival=fw.survival,
-            alphas=fw.alphas,
-            intention_idx=fw.intention_idx,
-            t_die=dies,
-            motifs=motifs,
-        )
-
-    def predict_proba(self, batch: SequenceBatch) -> np.ndarray:
-        """Final-step probability pairs (p_regular, p_malicious)."""
-        out = self.predict_outputs(batch)
-        p1 = out.p_malicious[:, -1]
-        return np.column_stack([1.0 - p1, p1])

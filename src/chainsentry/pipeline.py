@@ -559,13 +559,7 @@ def stage_train(config: PipelineConfig, out_dir: Path) -> None:
 
     batch = ctx.batch(train_tl, gbt_status, gbt_action)
     net = IntentionNetwork(config.intention.to_intention_config(config.seed))
-    checkpoint_path = out_dir / "intention_checkpoint.bin"
-
-    def checkpoint(epoch, params, mean_loss):
-        save_params(checkpoint_path, params, net.dims_, net.config)
-
-    net.fit(batch, ctx.status.n_clusters, ctx.action.n_clusters,
-            checkpoint_hook=checkpoint)
+    net.fit(batch, ctx.status.n_clusters, ctx.action.n_clusters)
     save_params(out_dir / "intention_model.bin", net.params_, net.dims_, net.config)
     save_params_json(out_dir / "intention_model.json", net.params_)
     (out_dir / "train_report.json").write_text(json.dumps({
@@ -595,19 +589,25 @@ def stage_predict(config: PipelineConfig, out_dir: Path) -> None:
     ctx = SequenceContext.load(out_dir)
     gbt_status, gbt_action, params, dims, icfg = _load_models(out_dir)
     batch = ctx.batch(timelines, gbt_status, gbt_action)
-    fw = forward_pass(params, batch, dims, noise=None)
     pred_path = out_dir / "predictions.csv"
     with open(pred_path, "w", encoding="utf-8") as fh:
         fh.write("address,t_index,p_malicious,survival,alpha_S,alpha_A,alpha_I,"
                  "intention_index\n")
-        for i, addr in enumerate(batch.addresses):
-            for t in range(batch.n_steps):
-                fh.write(
-                    f"{addr},{t + 1},{fmt_float(fw.p_hat[i, t])},"
-                    f"{fmt_float(fw.survival[i, t])},"
-                    f"{fmt_float(fw.alphas[i, t, 0])},{fmt_float(fw.alphas[i, t, 1])},"
-                    f"{fmt_float(fw.alphas[i, t, 2])},{int(fw.intention_idx[i, t])}\n"
-                )
+        # Training-sized chunks: the forward pass keeps per-step caches for
+        # every address it runs, so one pass over all of them would hold them
+        # all at once.
+        for lo in range(0, batch.n_addresses, icfg.batch_size):
+            chunk = batch.subset(np.arange(lo, min(lo + icfg.batch_size,
+                                                   batch.n_addresses)))
+            fw = forward_pass(params, chunk, dims, noise=None)
+            for i, addr in enumerate(chunk.addresses):
+                for t in range(chunk.n_steps):
+                    fh.write(
+                        f"{addr},{t + 1},{fmt_float(fw.p_hat[i, t])},"
+                        f"{fmt_float(fw.survival[i, t])},"
+                        f"{fmt_float(fw.alphas[i, t, 0])},{fmt_float(fw.alphas[i, t, 1])},"
+                        f"{fmt_float(fw.alphas[i, t, 2])},{int(fw.intention_idx[i, t])}\n"
+                    )
     record_stage(out_dir, "predict",
                  [out_dir / "features" / "features.csv",
                   out_dir / "intention_model.bin"],

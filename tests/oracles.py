@@ -195,3 +195,279 @@ def random_dag_records(rng, n_tx_max=50):
         records.append(TransactionRecord(tx_id, int(base + times[i]),
                                          tuple(inputs), tuple(outputs)))
     return records
+
+
+# -- intention network: the per-step reference ---------------------------------
+#
+# One timestep at a time and one LSTM branch at a time, with every per-step
+# intermediate kept in ``steps``.  The library computes the same network with
+# the non-recurrent layers over all steps at once and the three branch LSTMs
+# stacked; tests compare the two to a relative tolerance, because the
+# batched GEMMs and sums accumulate in another order.
+
+_BRANCHES = ("f", "s", "a")
+
+
+def _ref_sigmoid(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _ref_intention_index(z):
+    bits = (np.asarray(z) < 0).astype(np.int64)
+    return 1 + bits @ (2 ** np.arange(bits.shape[-1], dtype=np.int64))
+
+
+def _ref_lstm_forward(params, br, inp, h_prev, c_prev, d_h):
+    pre = inp @ params[f"lstm_{br}_W"].T + h_prev @ params[f"lstm_{br}_U"].T \
+        + params[f"lstm_{br}_b"]
+    i = _ref_sigmoid(pre[:, :d_h])
+    f = _ref_sigmoid(pre[:, d_h:2 * d_h])
+    o = _ref_sigmoid(pre[:, 2 * d_h:3 * d_h])
+    g = np.tanh(pre[:, 3 * d_h:])
+    c = f * c_prev + i * g
+    tc = np.tanh(c)
+    h = o * tc
+    return {"inp": inp, "h_prev": h_prev, "c_prev": c_prev, "i": i, "f": f,
+            "o": o, "g": g, "c": c, "tc": tc, "h": h}
+
+
+def _ref_lstm_backward(params, grads, br, cache, gh, gc_in):
+    i, f, o, g, tc = cache["i"], cache["f"], cache["o"], cache["g"], cache["tc"]
+    gc = gc_in + gh * o * (1.0 - tc * tc)
+    go = gh * tc
+    gf = gc * cache["c_prev"]
+    gi = gc * g
+    gg = gc * i
+    gc_prev = gc * f
+    gpre = np.concatenate(
+        [gi * i * (1 - i), gf * f * (1 - f), go * o * (1 - o), gg * (1 - g * g)],
+        axis=1,
+    )
+    grads[f"lstm_{br}_W"] += gpre.T @ cache["inp"]
+    grads[f"lstm_{br}_U"] += gpre.T @ cache["h_prev"]
+    grads[f"lstm_{br}_b"] += gpre.sum(axis=0)
+    ginp = gpre @ params[f"lstm_{br}_W"]
+    gh_prev = gpre @ params[f"lstm_{br}_U"]
+    return ginp, gh_prev, gc_prev
+
+
+class ReferenceForward:
+    """Per-step caches plus the (B, T) outputs of the reference pass."""
+
+    def __init__(self, B, T, d_z):
+        self.steps = []
+        self.y = np.zeros((B, T))
+        self.p_hat = np.zeros((B, T))
+        self.survival = np.zeros((B, T))
+        self.hazard = np.zeros((B, T))
+        self.alphas = np.zeros((B, T, 3))
+        self.z = np.zeros((B, T, d_z))
+        self.intention_idx = np.zeros((B, T), dtype=np.int64)
+
+
+def reference_forward_pass(params, batch, dims, noise=None):
+    """The network one step at a time; ``noise`` is (T, B, d_z) or None."""
+    B, T = batch.n_addresses, batch.n_steps
+    d_h, d_z = dims.d_h, dims.d_z
+    fw = ReferenceForward(B, T, d_z)
+    h = {br: np.zeros((B, d_h)) for br in _BRANCHES}
+    c = {br: np.zeros((B, d_h)) for br in _BRANCHES}
+    Lam = np.zeros(B)
+    p_hat_prev = np.full(B, 0.5)
+
+    for t in range(T):
+        sidx = batch.status_idx[:, t]
+        aidx = batch.action_idx[:, t]
+        u = np.concatenate([params["emb_s"][sidx], params["emb_a"][aidx]], axis=1)
+        x = np.tanh(u @ params["enc_W"].T + params["enc_b"])
+        mu = x @ params["mu_W"].T + params["mu_b"]
+        sg = x @ params["sg_W"].T + params["sg_b"]
+        e = noise[t] if noise is not None else np.zeros((B, d_z))
+        z = mu + np.exp(sg) * e
+        dh = np.tanh(z @ params["dec_W1"].T + params["dec_b1"])
+        xh = dh @ params["dec_W2"].T + params["dec_b2"]
+        iidx = _ref_intention_index(z)
+        if dims.use_idx:
+            zeff = np.concatenate([z, params["emb_i"][iidx - 1]], axis=1)
+        else:
+            zeff = z
+
+        f_t = batch.features[:, t, :]
+        sv = batch.status_vec[:, t, :]
+        av = batch.action_vec[:, t, :]
+        lstm_in = {"f": np.concatenate([zeff, f_t], axis=1),
+                   "s": np.concatenate([zeff, sv], axis=1),
+                   "a": np.concatenate([zeff, av], axis=1)}
+        lstm = {}
+        for br in _BRANCHES:
+            lstm[br] = _ref_lstm_forward(params, br, lstm_in[br], h[br], c[br], d_h)
+            h[br] = lstm[br]["h"]
+            c[br] = lstm[br]["c"]
+
+        haz_pre = np.stack(
+            [lstm[br]["h"] @ params["haz_w"][k] + params["haz_b"][k]
+             for k, br in enumerate(_BRANCHES)], axis=1)
+        lam = np.logaddexp(0.0, haz_pre).sum(axis=1)
+        Lam = Lam + lam
+        S = np.exp(-Lam)
+
+        att_in = {"s": np.concatenate([f_t, sv], axis=1),
+                  "a": np.concatenate([f_t, av], axis=1),
+                  "i": np.concatenate([f_t, zeff], axis=1)}
+        q = {}
+        a_scores = np.zeros((B, 3))
+        for k, br in enumerate(("s", "a", "i")):
+            q[br] = np.tanh(att_in[br] @ params[f"att_w_{br}"].T)
+            a_scores[:, k] = q[br] @ params["att_v"]
+        expa = np.exp(a_scores - a_scores.max(axis=1, keepdims=True))
+        alpha = expa / expa.sum(axis=1, keepdims=True)
+
+        y = alpha[:, 0] * batch.p_status[:, t] + alpha[:, 1] * batch.p_action[:, t] \
+            + alpha[:, 2] * (1.0 - S)
+        p_hat = S * y + (1.0 - S) * p_hat_prev
+
+        fw.steps.append(dict(u=u, x=x, mu=mu, sg=sg, e=e, z=z, dh=dh, xh=xh,
+                             iidx=iidx, zeff=zeff, lstm=lstm, haz_pre=haz_pre,
+                             S=S, att_in=att_in, q=q, alpha=alpha, y=y,
+                             sidx=sidx, aidx=aidx))
+        fw.y[:, t] = y
+        fw.p_hat[:, t] = p_hat
+        fw.survival[:, t] = S
+        fw.hazard[:, t] = lam
+        fw.alphas[:, t] = alpha
+        fw.z[:, t] = z
+        fw.intention_idx[:, t] = iidx
+        p_hat_prev = p_hat
+    return fw
+
+
+def reference_loss_terms(batch, fw, config):
+    """Per-term sqrt(t)-weighted sums, accumulated step by step."""
+    labels = batch.labels.astype(np.float64)
+    terms = {"pred": 0.0, "vae_kl": 0.0, "recon": 0.0, "consistency": 0.0,
+             "consistency_01": 0.0, "earliness": 0.0}
+    for t in range(batch.n_steps):
+        w = np.sqrt(t + 1.0)
+        step = fw.steps[t]
+        y = step["y"]
+        terms["pred"] += w * float(np.sum(
+            -labels * np.log(y) - (1.0 - labels) * np.log(1.0 - y)))
+        mu, sg = step["mu"], step["sg"]
+        terms["vae_kl"] += w * float(np.sum(np.exp(sg) - (1.0 + sg) + mu * mu))
+        diff = step["xh"] - step["u"]
+        terms["recon"] += w * float(np.sum(diff * diff))
+        if t > 0:
+            v = -(y - 0.5) * (fw.steps[t - 1]["y"] - 0.5)
+            terms["consistency"] += w * float(np.sum(np.maximum(v, 0.0)))
+            terms["consistency_01"] += w * float(np.sum(v > 0.0))
+        s_term = np.where(labels == 1, step["S"], -step["S"])
+        terms["earliness"] += w * float(np.sum(s_term))
+    terms["total"] = (terms["pred"]
+                      + config.gamma_v * (terms["vae_kl"] + config.recon_weight * terms["recon"])
+                      + config.gamma_c * terms["consistency"]
+                      + config.gamma_e * terms["earliness"])
+    return terms
+
+
+def reference_loss_and_grads(params, batch, dims, config, noise=None):
+    """(terms, grads, fw): gradients back-propagated one step at a time."""
+    fw = reference_forward_pass(params, batch, dims, noise)
+    terms = reference_loss_terms(batch, fw, config)
+    B, T = batch.n_addresses, batch.n_steps
+    d_h, d_z, d_e = dims.d_h, dims.d_z, dims.d_e
+    labels = batch.labels.astype(np.float64)
+    sign_e = np.where(labels == 1, 1.0, -1.0)
+
+    grads = {k: np.zeros_like(v) for k, v in params.items()}
+    gh_next = {br: np.zeros((B, d_h)) for br in _BRANCHES}
+    gc_next = {br: np.zeros((B, d_h)) for br in _BRANCHES}
+    gLam_next = np.zeros(B)
+    gy_from_next = np.zeros(B)
+
+    for t in range(T - 1, -1, -1):
+        w = np.sqrt(t + 1.0)
+        step = fw.steps[t]
+        y, S, alpha = step["y"], step["S"], step["alpha"]
+
+        gy = w * (-labels / y + (1.0 - labels) / (1.0 - y)) + gy_from_next
+        if t > 0:
+            y_prev = fw.steps[t - 1]["y"]
+            active = (-(y - 0.5) * (y_prev - 0.5)) > 0.0
+            gy += w * config.gamma_c * active * (-(y_prev - 0.5))
+            gy_from_next = w * config.gamma_c * active * (-(y - 0.5))
+        else:
+            gy_from_next = np.zeros(B)
+
+        galpha = np.column_stack([gy * batch.p_status[:, t],
+                                  gy * batch.p_action[:, t],
+                                  gy * (1.0 - S)])
+        gS = -gy * alpha[:, 2] + w * config.gamma_e * sign_e
+        gLam = gS * (-S) + gLam_next
+        glam = gLam
+        gLam_next = gLam
+
+        sig_h = _ref_sigmoid(step["haz_pre"])
+        gh = {br: gh_next[br].copy() for br in _BRANCHES}
+        for k, br in enumerate(_BRANCHES):
+            gpre = glam * sig_h[:, k]
+            grads["haz_w"][k] += gpre @ step["lstm"][br]["h"]
+            grads["haz_b"][k] += gpre.sum()
+            gh[br] += gpre[:, None] * params["haz_w"][k][None, :]
+
+        row = (galpha * alpha).sum(axis=1, keepdims=True)
+        ga = alpha * (galpha - row)
+        gzeff = np.zeros((B, step["zeff"].shape[1]))
+        for k, br in enumerate(("s", "a", "i")):
+            q = step["q"][br]
+            gq = ga[:, k][:, None] * params["att_v"][None, :]
+            grads["att_v"] += (q * ga[:, k][:, None]).sum(axis=0)
+            gqpre = gq * (1.0 - q * q)
+            grads[f"att_w_{br}"] += gqpre.T @ step["att_in"][br]
+            gcat = gqpre @ params[f"att_w_{br}"]
+            if br == "i":
+                gzeff += gcat[:, dims.d_f:]
+
+        for br in _BRANCHES:
+            ginp, gh_prev, gc_prev = _ref_lstm_backward(
+                params, grads, br, step["lstm"][br], gh[br], gc_next[br])
+            gzeff += ginp[:, :dims.z_eff]
+            gh_next[br] = gh_prev
+            gc_next[br] = gc_prev
+
+        gz = gzeff[:, :d_z].copy()
+        if dims.use_idx:
+            np.add.at(grads["emb_i"], step["iidx"] - 1, gzeff[:, d_z:])
+
+        coef_r = w * config.gamma_v * config.recon_weight
+        gxh = coef_r * 2.0 * (step["xh"] - step["u"])
+        gu = -gxh.copy()
+        grads["dec_W2"] += gxh.T @ step["dh"]
+        grads["dec_b2"] += gxh.sum(axis=0)
+        gdec_pre = (gxh @ params["dec_W2"]) * (1.0 - step["dh"] ** 2)
+        grads["dec_W1"] += gdec_pre.T @ step["z"]
+        grads["dec_b1"] += gdec_pre.sum(axis=0)
+        gz += gdec_pre @ params["dec_W1"]
+
+        coef_kl = w * config.gamma_v
+        gmu = coef_kl * 2.0 * step["mu"] + gz
+        gsg = coef_kl * (np.exp(step["sg"]) - 1.0) + gz * np.exp(step["sg"]) * step["e"]
+        gx = gmu @ params["mu_W"] + gsg @ params["sg_W"]
+        grads["mu_W"] += gmu.T @ step["x"]
+        grads["mu_b"] += gmu.sum(axis=0)
+        grads["sg_W"] += gsg.T @ step["x"]
+        grads["sg_b"] += gsg.sum(axis=0)
+
+        genc_pre = gx * (1.0 - step["x"] ** 2)
+        grads["enc_W"] += genc_pre.T @ step["u"]
+        grads["enc_b"] += genc_pre.sum(axis=0)
+        gu += genc_pre @ params["enc_W"]
+
+        np.add.at(grads["emb_s"], step["sidx"], gu[:, :d_e])
+        np.add.at(grads["emb_a"], step["aidx"], gu[:, d_e:])
+
+    return terms, grads, fw

@@ -235,6 +235,11 @@ def test_feature_csv_writer_matches_per_cell_format(tmp_path):
             want.append(f"{address},{t + 1},{label},"
                         + ",".join(fmt_float(v) for v in m[t]))
     assert path.read_text(encoding="utf-8") == "\n".join(want) + "\n"
+    back = {tl.address: tl for tl in read_feature_csv(path)}
+    assert back["odd"].label == 0 and back["nolabel"].label is None
+    for address, m in (("odd", matrix), ("nolabel", matrix[::-1])):
+        assert np.array_equal(back[address].matrix, m, equal_nan=True)
+        assert np.array_equal(np.signbit(back[address].matrix), np.signbit(m))
 
 
 def test_feature_csv_read_filtered_by_address(tmp_path, case_study_store):

@@ -9,6 +9,7 @@ from chainsentry.intention import (Dims, IntentionConfig, IntentionNetwork,
                                    load_params, save_params, unflatten_params)
 from chainsentry.intention.network import _lstm_forward, loss_terms, motif, t_die
 from chainsentry.intention.params import save_params_json
+from oracles import reference_loss_and_grads
 
 
 def make_batch(rng, B=2, T=4, d_f=3, k_status=3, k_action=3, labels=None):
@@ -58,10 +59,9 @@ def test_embedding_lookup_rows(rng):
     dims = dims_for(batch, config)
     params = init_params(dims, seed=1)
     fw = forward_pass(params, batch, dims)
-    step = fw.steps[0]
     want = np.concatenate([params["emb_s"][batch.status_idx[:, 0]],
                            params["emb_a"][batch.action_idx[:, 0]]], axis=1)
-    assert np.array_equal(step["u"], want)
+    assert np.array_equal(fw.cache["u"][0], want)
 
 
 def test_out_of_range_index_errors(rng):
@@ -79,16 +79,16 @@ def test_reparameterization_identities(rng):
     dims = dims_for(batch, config)
     params = init_params(dims, seed=2)
     fw0 = forward_pass(params, batch, dims, noise=None)
-    for step in fw0.steps:
-        assert np.array_equal(step["z"], step["mu"])  # e = 0 -> z = mu
+    for t in range(batch.n_steps):
+        assert np.array_equal(fw0.cache["z"][t], fw0.cache["mu"][t])  # e = 0 -> z = mu
     # sigma-head forced to zero output, e = 1: z = mu + 1.
     params2 = {k: v.copy() for k, v in params.items()}
     params2["sg_W"][:] = 0.0
     params2["sg_b"][:] = 0.0
     noise = np.ones((batch.n_steps, batch.n_addresses, dims.d_z))
     fw1 = forward_pass(params2, batch, dims, noise=noise)
-    for step in fw1.steps:
-        assert np.allclose(step["z"], step["mu"] + 1.0)
+    for t in range(batch.n_steps):
+        assert np.allclose(fw1.cache["z"][t], fw1.cache["mu"][t] + 1.0)
 
 
 def test_vae_kl_nonnegative_zero_at_origin(rng):
@@ -108,12 +108,19 @@ def test_vae_kl_nonnegative_zero_at_origin(rng):
 # -- LSTM ----------------------------------------------------------------------
 
 
+def _one_step_lstm(params, x):
+    """One step of branch "f" from the zero state, in the stacked layout
+    (T = 1, one branch): returns the hidden and cell state after the step."""
+    xw = x @ params["lstm_f_W"].T + params["lstm_f_b"]
+    out = _lstm_forward(xw[None, None], params["lstm_f_U"][None])
+    return out["h"][1, 0], out["c"][1, 0]
+
+
 def test_lstm_zero_weights_zero_output():
     params = {"lstm_f_W": np.zeros((8, 3)), "lstm_f_U": np.zeros((8, 2)),
               "lstm_f_b": np.zeros(8)}
-    out = _lstm_forward(params, "f", np.ones((2, 3)), np.zeros((2, 2)),
-                        np.zeros((2, 2)), d_h=2)
-    assert np.allclose(out["h"], 0.0)
+    h, _ = _one_step_lstm(params, np.ones((2, 3)))
+    assert np.allclose(h, 0.0)
 
 
 def test_lstm_single_step_hand_arithmetic():
@@ -124,13 +131,13 @@ def test_lstm_single_step_hand_arithmetic():
         "lstm_f_b": np.concatenate([np.zeros(6), np.array([0.25, 0.25])]),
     }
     x = np.array([[1.0]])
-    out = _lstm_forward(params, "f", x, np.zeros((1, 2)), np.zeros((1, 2)), d_h)
+    out_h, out_c = _one_step_lstm(params, x)
     sig = lambda v: 1.0 / (1.0 + np.exp(-v))
     i = sig(0.5); f = sig(0.5); o = sig(0.5); g = np.tanh(0.75)
     c = i * g
     h = o * np.tanh(c)
-    assert np.allclose(out["c"], c, atol=1e-12)
-    assert np.allclose(out["h"], h, atol=1e-12)
+    assert np.allclose(out_c, c, atol=1e-12)
+    assert np.allclose(out_h, h, atol=1e-12)
 
 
 # -- hazard / survival -----------------------------------------------------------
@@ -230,15 +237,63 @@ def test_consistency_loss_zero_for_constant_predictions(rng):
     params = init_params(dims, seed=9)
     fw = forward_pass(params, batch, dims)
     for t in range(batch.n_steps):
-        fw.steps[t]["y"] = np.full(batch.n_addresses, 0.7)
+        fw.y[:, t] = np.full(batch.n_addresses, 0.7)
     terms = loss_terms(batch, fw, config)
     assert terms["consistency"] == 0.0
     assert terms["consistency_01"] == 0.0
     # A sign flip is counted by the 0/1 metric and the surrogate.
-    fw.steps[1]["y"] = np.full(batch.n_addresses, 0.3)
+    fw.y[:, 1] = np.full(batch.n_addresses, 0.3)
     flipped = loss_terms(batch, fw, config)
     assert flipped["consistency_01"] > 0
     assert flipped["consistency"] > 0
+
+
+# -- reference oracle ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("use_idx", [False, True])
+@pytest.mark.parametrize("B", [1, 5, 64])
+@pytest.mark.parametrize("T", [1, 4, 24])
+@pytest.mark.parametrize("with_noise", [False, True])
+def test_network_matches_per_step_reference(use_idx, B, T, with_noise):
+    # The batched network sums in another order than the per-step reference,
+    # so values agree to rounding, not bit for bit.
+    rng = np.random.default_rng(1000 * B + 10 * T + use_idx)
+    config = small_config(d_h=8, use_index_embedding=use_idx)
+    batch = make_batch(rng, B=B, T=T)
+    dims = dims_for(batch, config)
+    params = init_params(dims, seed=B + T)
+    noise = rng.standard_normal((T, B, dims.d_z)) if with_noise else None
+    terms, grads, fw = compute_loss_and_grads(params, batch, dims, config, noise)
+    ref_terms, ref_grads, ref = reference_loss_and_grads(params, batch, dims,
+                                                         config, noise)
+    assert terms.keys() == ref_terms.keys()
+    for key in terms:
+        np.testing.assert_allclose(terms[key], ref_terms[key], rtol=1e-12, atol=0)
+    for name in ("y", "p_hat", "survival", "hazard", "alphas", "z"):
+        np.testing.assert_allclose(getattr(fw, name), getattr(ref, name),
+                                   rtol=1e-12, atol=0, err_msg=name)
+    assert np.array_equal(fw.intention_idx, ref.intention_idx)
+    assert list(grads) == list(params)
+    for key in params:
+        scale = np.abs(ref_grads[key]).max()
+        assert np.abs(grads[key] - ref_grads[key]).max() <= 1e-10 * scale, key
+
+
+def test_forward_rows_do_not_depend_on_the_batch(rng):
+    # Inference runs in chunks of addresses; a row's outputs must not depend
+    # on which other rows share its chunk.
+    config = small_config(d_h=8)
+    batch = make_batch(rng, B=9, T=5)
+    dims = dims_for(batch, config)
+    params = init_params(dims, seed=12)
+    whole = forward_pass(params, batch, dims)
+    for rows in ([0, 1, 2], [3], [4, 5, 6, 7, 8]):
+        part = forward_pass(params, batch.subset(rows), dims)
+        for name in ("p_hat", "survival", "alphas", "intention_idx"):
+            np.testing.assert_allclose(getattr(part, name),
+                                       getattr(whole, name)[rows],
+                                       rtol=1e-12, atol=0, err_msg=name)
 
 
 # -- gradient checks -----------------------------------------------------------------

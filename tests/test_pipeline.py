@@ -71,6 +71,7 @@ def test_stage_artifacts_exist(small_run):
     assert (out / "features" / "features.csv").exists()
     assert (out / "features" / "schema.json").exists()
     assert (out / "paths").is_dir()
+    assert not (out / "intention_checkpoint.bin").exists()
 
 
 def test_predictions_schema(small_run):
