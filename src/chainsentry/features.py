@@ -13,8 +13,9 @@ feature file so downstream stages can detect drift.
 from __future__ import annotations
 
 import hashlib
-from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -93,6 +94,12 @@ SCHEMA_HASH = hashlib.sha256(
 assert len(FULL_SCHEMA) == 212
 assert len(SEED_SCHEMA) == 68
 
+# Column ranges of a full row: the address features, then one per path set.
+_SET_WIDTH = 1 + len(AGG_STATS) * len(PATH_BASE_FEATURES)
+_BLOCKS = ((0, len(ADDRESS_FEATURES)),) + tuple(
+    (len(ADDRESS_FEATURES) + k * _SET_WIDTH, len(ADDRESS_FEATURES) + (k + 1) * _SET_WIDTH)
+    for k in range(len(PATH_SET_NAMES)))
+
 
 def path_feature_row(store: TxStore, path: AssetTransferPath) -> np.ndarray:
     """The 12 per-path features, in ``PATH_BASE_FEATURES`` order."""
@@ -135,12 +142,16 @@ def aggregate_path_set(rows: np.ndarray) -> np.ndarray:
     out = np.zeros(1 + 4 * len(PATH_BASE_FEATURES), dtype=np.float64)
     if rows.shape[0] == 0:
         return out
-    out[0] = rows.shape[0]
+    n = rows.shape[0]
+    out[0] = n
+    # The same sums and divisions as numpy's mean and std, without their
+    # second pass for the mean.
+    mean = rows.sum(axis=0) / n
     stats = np.empty((len(PATH_BASE_FEATURES), 4))
-    stats[:, 0] = rows.mean(axis=0)
+    stats[:, 0] = mean
     stats[:, 1] = rows.max(axis=0)
     stats[:, 2] = rows.min(axis=0)
-    stats[:, 3] = rows.std(axis=0)
+    stats[:, 3] = np.sqrt(((rows - mean) ** 2).sum(axis=0) / n)
     out[1:] = stats.reshape(-1)
     return out
 
@@ -174,59 +185,93 @@ class _AddressEvents:
         return cls(rt, ra, st, sa, creation)
 
 
-def _hourly_peak(times: np.ndarray, creation_bucket: int):
-    """(max per-bucket count, offset of the earliest peak bucket from creation)."""
+def _prefix_sum(values: np.ndarray) -> np.ndarray:
+    """``out[n]`` is the sum of the first ``n`` values (integer-exact)."""
+    out = np.zeros(values.size + 1, dtype=np.int64)
+    np.cumsum(values, out=out[1:])
+    return out
+
+
+def _running_peak(times: np.ndarray, creation_bucket: int):
+    """Per prefix of ``times`` (ascending): the largest hourly event count and
+    the offset from creation of the earliest bucket reaching it.
+
+    Index ``n`` describes the first ``n`` events, so index 0 is all zeros.
+    """
+    peak = np.zeros(times.size + 1, dtype=np.int64)
+    peak_bucket = np.zeros(times.size + 1, dtype=np.int64)
     if times.size == 0:
-        return 0.0, 0.0
+        return peak, peak_bucket
     buckets = times // HOUR - creation_bucket
-    counts = np.bincount(buckets.astype(np.int64))
-    peak = int(counts.max())
-    return float(peak), float(int(np.argmax(counts)))
+    idx = np.arange(times.size)
+    opens = np.ones(times.size, dtype=bool)
+    opens[1:] = buckets[1:] != buckets[:-1]
+    count = idx - np.maximum.accumulate(np.where(opens, idx, 0)) + 1
+    np.maximum.accumulate(count, out=peak[1:])
+    # The earliest peak bucket is the one whose count first reached the
+    # current peak: the last event at which the running peak rose.
+    rose = np.maximum.accumulate(np.where(count > peak[:-1], idx, 0))
+    peak_bucket[1:] = buckets[rose]
+    return peak, peak_bucket
 
 
-def address_features(events: _AddressEvents, t_now: int) -> np.ndarray:
-    """The 16 address features at ``t_now`` (``ADDRESS_FEATURES`` order)."""
-    nr = bisect_right(events.recv_t, t_now)
-    ns = bisect_right(events.spend_t, t_now)
-    recv_t = events.recv_t[:nr]
-    spend_t = events.spend_t[:ns]
-    recv_amt = events.recv_amt[:nr]
-    spend_amt = events.spend_amt[:ns]
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    return np.divide(num, den, out=np.zeros(num.shape), where=den > 0)
 
-    balance = float(recv_amt.sum() - spend_amt.sum())
+
+def _cutoffs(creation: int, hours: int) -> np.ndarray:
+    """Row ``t`` (1-based) sees everything stamped at or before ``creation + t`` hours."""
+    return creation + HOUR * np.arange(1, hours + 1, dtype=np.int64)
+
+
+def address_features(events: _AddressEvents, t_now: int | np.ndarray) -> np.ndarray:
+    """The 16 address features (``ADDRESS_FEATURES`` order) at each cutoff.
+
+    A scalar ``t_now`` gives a ``(16,)`` row, a 1-D array of cutoffs a
+    ``(len, 16)`` matrix.  Every feature is read from per-event prefix arrays
+    at the ``searchsorted`` position of the cutoff, so one call covers all
+    hours of a timeline.
+    """
+    cutoffs = np.asarray(t_now, dtype=np.int64)
+    scalar = cutoffs.ndim == 0
+    cutoffs = cutoffs.reshape(-1)
+    recv_t, spend_t = events.recv_t, events.spend_t
+    nr = np.searchsorted(recv_t, cutoffs, side="right")
+    ns = np.searchsorted(spend_t, cutoffs, side="right")
     # Closed window: an event exactly one hour old is still "recent", so the
     # creation deposit stays visible through the whole first row.
-    recent_lo = t_now - HOUR
-    nr_recent = nr - bisect_left(recv_t, recent_lo)
-    ns_recent = ns - bisect_left(spend_t, recent_lo)
-    ratio_total = ns / nr if nr else 0.0
-    ratio_recent = ns_recent / nr_recent if nr_recent else 0.0
+    nr_recent = nr - np.searchsorted(recv_t, cutoffs - HOUR, side="left")
+    ns_recent = ns - np.searchsorted(spend_t, cutoffs - HOUR, side="left")
 
     creation_bucket = events.creation // HOUR
-    max_spend, peak_spend = _hourly_peak(spend_t, creation_bucket)
-    max_recv, peak_recv = _hourly_peak(recv_t, creation_bucket)
-    zero_spend = float(np.count_nonzero(spend_amt == 0))
-    zero_recv = float(np.count_nonzero(recv_amt == 0))
+    max_spend, peak_spend = _running_peak(spend_t, creation_bucket)
+    max_recv, peak_recv = _running_peak(recv_t, creation_bucket)
 
-    all_buckets = np.concatenate([recv_t // HOUR, spend_t // HOUR])
-    active_hours = float(np.unique(all_buckets).size) if all_buckets.size else 0.0
-    hours_elapsed = (t_now - events.creation) // HOUR + 1
-    active_rate = active_hours / hours_elapsed if hours_elapsed > 0 else 0.0
+    all_t = np.sort(np.concatenate([recv_t, spend_t]))
+    all_buckets = all_t // HOUR
+    new_bucket = np.ones(all_t.size, dtype=np.int64)
+    new_bucket[1:] = all_buckets[1:] != all_buckets[:-1]
+    active_hours = _prefix_sum(new_bucket)[np.searchsorted(all_t, cutoffs, side="right")]
+    hours_elapsed = (cutoffs - events.creation) // HOUR + 1
 
-    return np.array(
-        [
-            balance,
-            float(ns), float(nr),
-            float(ns_recent), float(nr_recent),
-            ratio_total, ratio_recent,
-            max_spend, max_recv,
-            zero_spend, zero_recv,
-            peak_spend, peak_recv,
-            peak_spend - peak_recv,
-            active_hours, active_rate,
-        ],
-        dtype=np.float64,
-    )
+    out = np.empty((cutoffs.size, len(ADDRESS_FEATURES)), dtype=np.float64)
+    out[:, 0] = _prefix_sum(events.recv_amt)[nr] - _prefix_sum(events.spend_amt)[ns]
+    out[:, 1] = ns
+    out[:, 2] = nr
+    out[:, 3] = ns_recent
+    out[:, 4] = nr_recent
+    out[:, 5] = _ratio(ns, nr)
+    out[:, 6] = _ratio(ns_recent, nr_recent)
+    out[:, 7] = max_spend[ns]
+    out[:, 8] = max_recv[nr]
+    out[:, 9] = _prefix_sum(events.spend_amt == 0)[ns]
+    out[:, 10] = _prefix_sum(events.recv_amt == 0)[nr]
+    out[:, 11] = peak_spend[ns]
+    out[:, 12] = peak_recv[nr]
+    out[:, 13] = out[:, 11] - out[:, 12]
+    out[:, 14] = active_hours
+    out[:, 15] = _ratio(active_hours, hours_elapsed)
+    return out[0] if scalar else out
 
 
 @dataclass(slots=True)
@@ -248,29 +293,40 @@ class FeatureTimeline:
         return self.matrix[:, list(SEED_COLUMN_INDEX)]
 
 
-@dataclass(slots=True)
 class _SetTracker:
     """Per-(address, set) store of path feature rows and their aggregate.
 
-    Rows are only ever appended, so the aggregate is kept with the row count
-    it was computed from and recomputed only after new rows arrive.
+    Rows are only ever appended, into a buffer that doubles when full, so the
+    aggregate is kept with the row count it was computed from and recomputed
+    only after new rows arrive.
     """
 
-    rows: list[np.ndarray] = field(default_factory=list)
-    truncated: bool = False
-    _aggregate: np.ndarray | None = None
-    _aggregate_rows: int = -1
+    __slots__ = ("truncated", "_buf", "_n", "_aggregate", "_aggregate_rows")
+
+    def __init__(self):
+        self.truncated = False
+        self._buf = np.empty((16, len(PATH_BASE_FEATURES)), dtype=np.float64)
+        self._n = 0
+        self._aggregate = None
+        self._aggregate_rows = -1
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self._buf[:self._n]
 
     def add(self, store: TxStore, paths) -> None:
         for p in paths:
-            self.rows.append(path_feature_row(store, p))
+            if self._n == self._buf.shape[0]:
+                grown = np.empty((2 * self._n, self._buf.shape[1]), dtype=np.float64)
+                grown[:self._n] = self._buf
+                self._buf = grown
+            self._buf[self._n] = path_feature_row(store, p)
+            self._n += 1
 
     def aggregate(self) -> np.ndarray:
-        if self._aggregate_rows != len(self.rows):
-            stacked = (np.vstack(self.rows) if self.rows
-                       else np.zeros((0, len(PATH_BASE_FEATURES))))
-            self._aggregate = aggregate_path_set(stacked)
-            self._aggregate_rows = len(self.rows)
+        if self._aggregate_rows != self._n:
+            self._aggregate = aggregate_path_set(self.rows)
+            self._aggregate_rows = self._n
         return self._aggregate
 
 
@@ -297,9 +353,10 @@ def feature_timeline(store: TxStore, address: str, hours: int = 24,
     recv_ids = store.receive_txs(address)
     spend_ids = store.spend_txs(address)
 
+    cutoffs = _cutoffs(creation, hours)
     matrix = np.zeros((hours, len(FULL_SCHEMA)), dtype=np.float64)
-    for t in range(1, hours + 1):
-        cutoff = creation + t * HOUR
+    matrix[:, :len(ADDRESS_FEATURES)] = address_features(events, cutoffs)
+    for t, cutoff in enumerate(cutoffs.tolist()):
         # New backward anchors: full historical trace, visible immediately.
         while seen_recv < len(recv_ids) and store.tx(recv_ids[seen_recv]).timestamp <= cutoff:
             anchor = recv_ids[seen_recv]
@@ -323,10 +380,8 @@ def feature_timeline(store: TxStore, address: str, hours: int = 24,
                 trackers[set_name].add(store, added)
                 trackers[set_name].truncated |= trace.truncated
 
-        row = [address_features(events, cutoff)]
-        for set_name in PATH_SET_NAMES:
-            row.append(trackers[set_name].aggregate())
-        matrix[t - 1] = np.concatenate(row)
+        for set_name, (lo, hi) in zip(PATH_SET_NAMES, _BLOCKS[1:]):
+            matrix[t, lo:hi] = trackers[set_name].aggregate()
 
     truncated = any(tr.truncated for tr in trackers.values())
     return FeatureTimeline(address, label, creation, matrix, truncated)
@@ -340,23 +395,22 @@ def feature_timeline_rebuilt(store: TxStore, address: str, hours: int = 24,
     events = _AddressEvents.collect(store, address)
     if label is None:
         label = store.labels.get(address)
+    cutoffs = _cutoffs(events.creation, hours)
     matrix = np.zeros((hours, len(FULL_SCHEMA)), dtype=np.float64)
+    matrix[:, :len(ADDRESS_FEATURES)] = address_features(events, cutoffs)
     truncated = False
-    for t in range(1, hours + 1):
-        cutoff = events.creation + t * HOUR
-        row = [address_features(events, cutoff)]
+    for t, cutoff in enumerate(cutoffs.tolist()):
         try:
             sets = path_sets_for_address(store, address, cutoff, params)
         except DataError:
             sets = None
-        for set_name in PATH_SET_NAMES:
+        for set_name, (lo, hi) in zip(PATH_SET_NAMES, _BLOCKS[1:]):
             if sets is None:
-                row.append(aggregate_path_set(np.zeros((0, len(PATH_BASE_FEATURES)))))
+                rows = np.zeros((0, len(PATH_BASE_FEATURES)))
             else:
                 rows, _ = path_features(store, sets[set_name].paths)
                 truncated = truncated or sets[set_name].truncated
-                row.append(aggregate_path_set(rows))
-        matrix[t - 1] = np.concatenate(row)
+            matrix[t, lo:hi] = aggregate_path_set(rows)
     return FeatureTimeline(address, label, events.creation, matrix, truncated)
 
 
@@ -364,14 +418,34 @@ def feature_timeline_rebuilt(store: TxStore, address: str, hours: int = 24,
 
 
 def write_feature_csv(path, timelines: list[FeatureTimeline]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# schema_sha256={SCHEMA_HASH}\n")
-        fh.write("address,t_index,label," + ",".join(FULL_SCHEMA) + "\n")
-        for tl in timelines:
-            label = "" if tl.label is None else str(tl.label)
-            # repr of a Python float is what fmt_float gives a numpy scalar.
-            for t, row in enumerate(tl.matrix.tolist(), start=1):
-                fh.write(f"{tl.address},{t},{label},{','.join(map(repr, row))}\n")
+    """Write the feature file through a temporary file and ``os.replace``, so
+    a failed write leaves any earlier file untouched."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(f"# schema_sha256={SCHEMA_HASH}\n")
+            fh.write("address,t_index,label," + ",".join(FULL_SCHEMA) + "\n")
+            # Each block's text is reused while its bytes repeat the previous
+            # row's; bytes, not ==, tell -0.0 from 0.0 and match NaN to NaN.
+            last_bytes = [b""] * len(_BLOCKS)
+            last_text = [""] * len(_BLOCKS)
+            for tl in timelines:
+                label = "" if tl.label is None else str(tl.label)
+                for t, row in enumerate(tl.matrix, start=1):
+                    for k, (lo, hi) in enumerate(_BLOCKS):
+                        block = row[lo:hi]
+                        raw = block.tobytes()
+                        if raw != last_bytes[k]:
+                            last_bytes[k] = raw
+                            # repr of a Python float is what fmt_float gives
+                            # a numpy scalar.
+                            last_text[k] = ",".join(map(repr, block.tolist()))
+                    fh.write(f"{tl.address},{t},{label},{','.join(last_text)}\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_feature_csv(path, addresses=None) -> list[FeatureTimeline]:

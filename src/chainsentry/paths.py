@@ -14,6 +14,7 @@ threshold over a narrow window to expose local transfer structure.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .chain import TransactionPair, TransactionRecord, TxStore
@@ -167,19 +168,19 @@ def _backward_expansions(store: TxStore, path: AssetTransferPath, config: PathCo
 
 
 def _forward_expansions(store: TxStore, path: AssetTransferPath, config: PathConfig,
-                        anchor_time: int, t_now: int):
+                        anchor_time: int):
+    """Every admissible hop from the path's tip as (score, child, child time),
+    whether or not the child is visible yet."""
     tip = path.tip_tx
     total_out = store.tx(tip).total_output
     children = store.children(tip)
     n = max(1, len(children))
     for child, amount in children:
         child_time = store.tx(child).timestamp
-        if child_time > t_now:
-            continue
         prop = (amount / total_out) if total_out else (1.0 / n)
         score = path.score * prop
         if score >= config.threshold and child_time - anchor_time <= config.max_span:
-            yield score, child
+            yield score, child, child_time
 
 
 def _prune_frontier(frontier: list[AssetTransferPath], cap: int):
@@ -237,8 +238,10 @@ class ForwardTrace:
     """Incremental forward-path state for one anchor.
 
     ``extend`` brings the trace up to a later observation time and returns
-    the newly added paths; the accumulated set always equals a fresh build
-    at the current time.
+    the newly added paths; unless the frontier cap cut paths, the accumulated
+    set equals a fresh build at the current time.  The trace keeps the
+    earliest time after ``t_seen`` at which any path could take an admissible
+    hop, so an ``extend`` before that time returns at once.
     """
 
     anchor_tx: str
@@ -247,6 +250,7 @@ class ForwardTrace:
     paths: list[AssetTransferPath] = field(default_factory=list)
     truncated: bool = False
     _keys: set = field(default_factory=set)
+    _next_hop: float = -math.inf
 
     @classmethod
     def build(cls, store: TxStore, seed_tx: str, config: PathConfig, t_now: int):
@@ -263,20 +267,29 @@ class ForwardTrace:
     def extend(self, store: TxStore, t_now: int) -> list[AssetTransferPath]:
         if t_now < self.t_seen:
             raise DataError("observation time may not move backwards")
-        anchor_time = store.tx(self.anchor_tx).timestamp
         t_prev = self.t_seen
+        self.t_seen = t_now
+        if t_now < self._next_hop:
+            return []  # no hop became visible
+        anchor_time = store.tx(self.anchor_tx).timestamp
         added: list[AssetTransferPath] = []
+        next_hop = math.inf
         # Old paths can only grow through hops that became visible after
-        # t_prev; new paths (added this call) are expanded in full.
+        # t_prev; new paths (added this call) are expanded in full.  Every
+        # path passes through a frontier once, so its hops that are still
+        # hidden set the next time worth extending at.
         frontier = list(self.paths)
         fresh = False
         while frontier:
             nxt: list[AssetTransferPath] = []
             for path in frontier:
-                for score, child in _forward_expansions(
-                    store, path, self.config, anchor_time, t_now
+                for score, child, child_time in _forward_expansions(
+                    store, path, self.config, anchor_time
                 ):
-                    if not fresh and store.tx(child).timestamp <= t_prev:
+                    if child_time > t_now:
+                        next_hop = min(next_hop, child_time)
+                        continue
+                    if not fresh and child_time <= t_prev:
                         continue  # already explored from this path
                     ext = path.extended(score, child)
                     if ext.key not in self._keys:
@@ -288,7 +301,7 @@ class ForwardTrace:
             added.extend(nxt)
             frontier = nxt
             fresh = True
-        self.t_seen = t_now
+        self._next_hop = next_hop
         return added
 
     def pathset(self) -> PathSet:

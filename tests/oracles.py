@@ -6,7 +6,11 @@ numpy, a from-first-principles booster instead of the production one.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+
 import numpy as np
+
+HOUR = 3600
 
 
 def dfs_backward_paths(store, seed_tx, threshold, max_span):
@@ -54,6 +58,60 @@ def dfs_forward_paths(store, seed_tx, threshold, max_span, t_now):
 
     recurse([(None, 1.0, seed_tx)], 1.0)
     return results
+
+
+class ReferenceForwardTrace:
+    """Forward paths of one anchor, brought up to date by re-scanning every
+    path's children on each ``extend`` (no quiet call is skipped).
+
+    Paths are (tx ids, cumulative scores) pairs.  The frontier cap follows the
+    library's incremental rule: each call keeps, per level, the ``cap`` new
+    hops with the highest score (ties by tx ids), and a hop that was cut is
+    never offered again.  Without a cut the paths equal a fresh build.
+    """
+
+    def __init__(self, store, seed_tx, threshold, max_span, cap, t_now):
+        self.store = store
+        self.threshold = threshold
+        self.max_span = max_span
+        self.cap = cap
+        self.anchor_time = store.tx(seed_tx).timestamp
+        self.paths = [((seed_tx,), (1.0,))]
+        self.offered = {(seed_tx,)}
+        self.truncated = False
+        self.t_seen = self.anchor_time - 1
+        self.extend(t_now)
+
+    def extend(self, t_now):
+        store = self.store
+        t_prev, self.t_seen = self.t_seen, t_now
+        added = []
+        frontier = list(self.paths)
+        fresh = False
+        while frontier:
+            found = []
+            for txs, scores in frontier:
+                total_out = store.tx(txs[-1]).total_output
+                children = store.children(txs[-1])
+                for child, amount in children:
+                    ct = store.tx(child).timestamp
+                    if ct > t_now or (not fresh and ct <= t_prev):
+                        continue
+                    prop = (amount / total_out) if total_out else (1.0 / max(1, len(children)))
+                    s = scores[-1] * prop
+                    key = txs + (child,)
+                    if (s >= self.threshold and ct - self.anchor_time <= self.max_span
+                            and key not in self.offered):
+                        self.offered.add(key)
+                        found.append((key, scores + (s,)))
+            if len(found) > self.cap:
+                found = sorted(found, key=lambda p: (-p[1][-1], p[0]))[:self.cap]
+                self.truncated = True
+            self.paths += found
+            added += found
+            frontier = found
+            fresh = True
+        return added
 
 
 def pathset_as_dict(pathset):
@@ -171,6 +229,60 @@ class NaiveBooster:
             margin = margin + self.learning_rate * np.array(
                 [self._tree_predict(tree, x) for x in X])
         return self._sigmoid(margin)
+
+
+def _ref_hourly_peak(times, creation_bucket):
+    """(max per-bucket count, offset of the earliest peak bucket from creation)."""
+    if times.size == 0:
+        return 0.0, 0.0
+    buckets = times // HOUR - creation_bucket
+    counts = np.bincount(buckets.astype(np.int64))
+    peak = int(counts.max())
+    return float(peak), float(int(np.argmax(counts)))
+
+
+def reference_address_features(events, t_now):
+    """The 16 address features at one cutoff, recounted from the events seen
+    so far with ``bincount`` and ``unique``."""
+    nr = bisect_right(events.recv_t, t_now)
+    ns = bisect_right(events.spend_t, t_now)
+    recv_t = events.recv_t[:nr]
+    spend_t = events.spend_t[:ns]
+    recv_amt = events.recv_amt[:nr]
+    spend_amt = events.spend_amt[:ns]
+
+    balance = float(recv_amt.sum() - spend_amt.sum())
+    recent_lo = t_now - HOUR
+    nr_recent = nr - bisect_left(recv_t, recent_lo)
+    ns_recent = ns - bisect_left(spend_t, recent_lo)
+    ratio_total = ns / nr if nr else 0.0
+    ratio_recent = ns_recent / nr_recent if nr_recent else 0.0
+
+    creation_bucket = events.creation // HOUR
+    max_spend, peak_spend = _ref_hourly_peak(spend_t, creation_bucket)
+    max_recv, peak_recv = _ref_hourly_peak(recv_t, creation_bucket)
+    zero_spend = float(np.count_nonzero(spend_amt == 0))
+    zero_recv = float(np.count_nonzero(recv_amt == 0))
+
+    all_buckets = np.concatenate([recv_t // HOUR, spend_t // HOUR])
+    active_hours = float(np.unique(all_buckets).size) if all_buckets.size else 0.0
+    hours_elapsed = (t_now - events.creation) // HOUR + 1
+    active_rate = active_hours / hours_elapsed if hours_elapsed > 0 else 0.0
+
+    return np.array(
+        [
+            balance,
+            float(ns), float(nr),
+            float(ns_recent), float(nr_recent),
+            ratio_total, ratio_recent,
+            max_spend, max_recv,
+            zero_spend, zero_recv,
+            peak_spend, peak_recv,
+            peak_spend - peak_recv,
+            active_hours, active_rate,
+        ],
+        dtype=np.float64,
+    )
 
 
 def random_dag_records(rng, n_tx_max=50):

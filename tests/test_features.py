@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from chainsentry import features
 from chainsentry.chain import TxStore
@@ -12,7 +13,7 @@ from chainsentry.paths import PathConfig, backward_paths
 from chainsentry.serialize import fmt_float
 from chainsentry.synth import ScenarioSpec, generate
 from conftest import HOUR, T0, tx
-from oracles import naive_aggregate
+from oracles import naive_aggregate, reference_address_features
 
 DAY = 86400
 
@@ -79,6 +80,71 @@ def test_address_features_match_naive_recompute(rng):
     assert feature(vec, "addr__active_hour_count") == len(buckets)
     balance = 10**9 + sum(a for _, a in recv) - sum(a for _, a in spend)
     assert feature(vec, "addr__balance") == balance
+
+
+def _random_schedule_store(rng, case):
+    """Events of address "a" on a random schedule with the awkward cases:
+    times on the hour grid of creation, many events in one hour, tied busiest
+    hours, zero amounts, change outputs, and accounts that only receive or
+    only spend after creation."""
+    creation = T0 + int(rng.integers(0, HOUR))
+    kind = ("mixed", "receive_only", "spend_after_creation", "one_hour")[case % 4]
+    n = int(rng.integers(1, 40))
+    if kind == "one_hour":
+        times = creation + rng.integers(0, HOUR, size=n)
+    else:
+        grid = creation + HOUR * rng.integers(0, 30, size=n)
+        jitter = rng.choice([0, 0, 1, -1, 59, HOUR - 1], size=n)
+        times = np.maximum(grid + jitter, creation)
+    times = np.sort(times)
+    times[0] = creation
+    records = []
+    for k, ts in enumerate(times.tolist()):
+        amount = int(rng.choice([0, 0, 1, int(rng.integers(2, 10**6))]))
+        if kind == "receive_only" or k == 0:
+            role = "receive"
+        elif kind == "spend_after_creation":
+            role = "spend"
+        else:
+            role = rng.choice(["receive", "spend", "change"])
+        if role == "receive":
+            records.append(tx(f"r{k}", ts, [], [("a", amount)]))
+        elif role == "spend":
+            records.append(tx(f"s{k}", ts, [(f"ext{k}", amount, "a")], [("sink", amount)]))
+        else:
+            records.append(tx(f"c{k}", ts, [(f"ext{k}", amount + 5, "a")],
+                              [("sink", 5), ("a", amount)]))
+    return TxStore.from_records(records), times
+
+
+def test_address_features_all_hours_match_per_hour_reference(rng):
+    for case in range(200):
+        store, times = _random_schedule_store(rng, case)
+        ev = _AddressEvents.collect(store, "a")
+        hours = ev.creation + HOUR * np.arange(-1, 31)
+        cutoffs = np.concatenate([hours, times, times + HOUR, times - 1, times + HOUR + 1])
+        got = address_features(ev, cutoffs)
+        assert got.shape == (cutoffs.size, len(ADDRESS_FEATURES))
+        for cutoff, row in zip(cutoffs.tolist(), got):
+            want = reference_address_features(ev, cutoff)
+            assert np.array_equal(row, want), (case, cutoff)
+            assert np.array_equal(np.signbit(row), np.signbit(want)), (case, cutoff)
+        one = address_features(ev, int(cutoffs[-1]))
+        assert one.shape == (len(ADDRESS_FEATURES),) and np.array_equal(one, got[-1])
+
+
+def test_address_features_peak_ties_pick_the_earliest_hour():
+    creation = T0 - T0 % HOUR
+    # Hours 0 and 2 both see three receives; hour 1 sees two.
+    offsets = [0, 10, 20, HOUR, HOUR + 1, 2 * HOUR, 2 * HOUR + 5, 3 * HOUR - 1]
+    store = TxStore.from_records([tx(f"r{k}", creation + o, [], [("a", 0)])
+                                  for k, o in enumerate(offsets)])
+    ev = _AddressEvents.collect(store, "a")
+    rows = address_features(ev, creation + HOUR * np.arange(1, 4))
+    assert feature(rows[-1], "addr__max_hourly_receive_count") == 3
+    assert feature(rows[-1], "addr__peak_receive_hour_offset") == 0
+    assert feature(rows[-1], "addr__zero_amount_receive_count") == len(offsets)
+    assert feature(rows[0], "addr__receive_count_recent_hour") == 4  # closed window
 
 
 def test_path_features_trivial_and_empty(chain_store):
@@ -160,6 +226,21 @@ def test_timeline_incremental_equals_rebuild(case_study_store):
     assert np.array_equal(fast.matrix, slow.matrix)
 
 
+def test_timeline_incremental_equals_rebuild_whole_universe():
+    # The seven scenario kinds of the 1,000-address benchmark universe.
+    specs = [ScenarioSpec(kind, count) for kind, count in (
+        ("hack", 3), ("ransomware", 3), ("darknet", 3), ("exchange", 4),
+        ("merchant", 4), ("gambling", 3), ("mining", 3))]
+    records, labels, _ = generate(specs, seed=13, noise_level=0.3)
+    store = TxStore.from_records(records, labels)
+    assert len(labels) == 23
+    for address in sorted(labels):
+        fast = feature_timeline(store, address)
+        slow = feature_timeline_rebuilt(store, address)
+        assert np.array_equal(fast.matrix, slow.matrix), address
+        assert fast.truncated == slow.truncated, address
+
+
 def test_timeline_no_lookahead(case_study_store):
     """Rows before a perturbation hour are bit-identical after it."""
     base = feature_timeline(case_study_store, "hack").matrix
@@ -225,19 +306,26 @@ def test_feature_csv_writer_matches_per_cell_format(tmp_path):
     matrix = np.zeros((2, len(FULL_SCHEMA)))
     matrix[0, :len(awkward)] = awkward
     matrix[1, -len(awkward):] = awkward[::-1]
+    # Consecutive hours in which a block changes only in the sign of a zero,
+    # only in a NaN, or not at all; the writer reuses a block's text only
+    # while its bytes repeat.
+    blocks = np.ones((8, len(FULL_SCHEMA)))
+    blocks[0:4, 70] = [0.0, -0.0, 0.0, -0.0]
+    blocks[4:6, 120] = float("nan")
+    blocks[1, 3] = blocks[2, 200] = -0.0
+    cases = (("odd", 0, matrix), ("nolabel", None, matrix[::-1]), ("blocks", 2, blocks))
     path = tmp_path / "features.csv"
-    write_feature_csv(path, [FeatureTimeline("odd", 0, 0, matrix),
-                             FeatureTimeline("nolabel", None, 0, matrix[::-1])])
+    write_feature_csv(path, [FeatureTimeline(a, label, 0, m) for a, label, m in cases])
     want = [f"# schema_sha256={SCHEMA_HASH}",
             "address,t_index,label," + ",".join(FULL_SCHEMA)]
-    for address, label, m in (("odd", "0", matrix), ("nolabel", "", matrix[::-1])):
+    for address, label, m in cases:
         for t in range(m.shape[0]):
-            want.append(f"{address},{t + 1},{label},"
+            want.append(f"{address},{t + 1},{'' if label is None else label},"
                         + ",".join(fmt_float(v) for v in m[t]))
     assert path.read_text(encoding="utf-8") == "\n".join(want) + "\n"
     back = {tl.address: tl for tl in read_feature_csv(path)}
     assert back["odd"].label == 0 and back["nolabel"].label is None
-    for address, m in (("odd", matrix), ("nolabel", matrix[::-1])):
+    for address, _, m in cases:
         assert np.array_equal(back[address].matrix, m, equal_nan=True)
         assert np.array_equal(np.signbit(back[address].matrix), np.signbit(m))
 
@@ -254,3 +342,27 @@ def test_feature_csv_read_filtered_by_address(tmp_path, case_study_store):
         assert only.address == address and only.label == full[address].label
         assert np.array_equal(only.matrix, full[address].matrix)
     assert read_feature_csv(path, {"nobody"}) == []
+
+
+class _FailingTimeline:
+    address = "broken"
+    label = 1
+
+    @property
+    def matrix(self):
+        raise RuntimeError("timeline failed mid-write")
+
+
+def test_feature_csv_write_failure_keeps_the_old_file(tmp_path, case_study_store):
+    hack = feature_timeline(case_study_store, "hack")
+    dest = feature_timeline(case_study_store, "dest")
+    path = tmp_path / "features.csv"
+    write_feature_csv(path, [hack])
+    old = path.read_bytes()
+    with pytest.raises(RuntimeError, match="mid-write"):
+        write_feature_csv(path, [dest, _FailingTimeline(), hack])
+    assert path.read_bytes() == old
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["features.csv"]
+    write_feature_csv(path, [dest])
+    assert [tl.address for tl in read_feature_csv(path)] == ["dest"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["features.csv"]

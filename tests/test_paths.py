@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
+from chainsentry import paths
 from chainsentry.chain import TxStore
 from chainsentry.errors import DataError
 from chainsentry.paths import (ForwardTrace, PathConfig, PathParams,
                                backward_paths, forward_paths, influence_pairs,
                                path_sets_for_address, trust_pairs)
 from conftest import HOUR, T0, tx
-from oracles import dfs_backward_paths, dfs_forward_paths, pathset_as_dict, random_dag_records
+from oracles import (ReferenceForwardTrace, dfs_backward_paths, dfs_forward_paths,
+                     pathset_as_dict, random_dag_records)
 
 DAY = 86400
 
@@ -149,6 +151,64 @@ def test_forward_incremental_equals_fresh():
         trace.extend(store, t_now)
         fresh = forward_paths(store, "t1", fr(threshold=0.5), t_now)
         assert {p.key for p in trace.paths} == fresh.keys()
+
+
+def test_forward_extend_skips_hours_without_a_visible_hop(monkeypatch):
+    records = [tx("t0", T0, [], [("a0", 1000)]),
+               tx("t1", T0 + HOUR, [("t0", 1000, "a0")], [("a1", 1000)]),
+               tx("t2", T0 + 5 * HOUR, [("t1", 1000, "a1")], [("a2", 1000)])]
+    store = TxStore.from_records(records)
+    trace = ForwardTrace.build(store, "t0", fr(), T0 + 2 * HOUR)
+    assert [p.key for p in trace.paths] == [("t0",), ("t0", "t1")]
+    before = list(trace.paths)
+    scans = []
+    real = paths._forward_expansions
+    monkeypatch.setattr(paths, "_forward_expansions",
+                        lambda *args: scans.append(args) or real(*args))
+    for hours in (2, 3, 4):
+        assert trace.extend(store, T0 + hours * HOUR + 1) == []
+        assert trace.paths == before and trace.t_seen == T0 + hours * HOUR + 1
+    assert scans == []  # no path was re-scanned on the quiet hours
+    (added,) = trace.extend(store, T0 + 5 * HOUR)
+    assert added.key == ("t0", "t1", "t2") and scans
+    with pytest.raises(DataError):
+        trace.extend(store, T0 + 4 * HOUR)
+
+
+def _keys_and_scores(path_list):
+    return [(p.key, tuple(h[1] for h in p.hops)) for p in path_list]
+
+
+def test_forward_extend_hourly_matches_rescans_and_fresh_builds(rng):
+    # Each random DAG is stepped hour by hour with and without a cap that
+    # prunes.  Every step must equal a trace that re-scans all paths; without
+    # a cut it must also equal a fresh build at the same time.
+    for case in range(300):
+        store = TxStore.from_records(random_dag_records(rng, n_tx_max=30))
+        tx_ids = sorted(store.tx_ids())
+        seed = tx_ids[int(rng.integers(0, len(tx_ids)))]
+        t_seed = store.tx(seed).timestamp
+        t_end = max(store.tx(t).timestamp for t in tx_ids)
+        threshold, span = ((0.01, 2 * DAY), (0.2, 6 * DAY))[case % 2]
+        for cap in (2, 10_000):
+            config = PathConfig("FR", "ST", threshold, span, cap)
+            trace = ForwardTrace.build(store, seed, config, t_seed)
+            ref = ReferenceForwardTrace(store, seed, threshold, span, cap, t_seed)
+            prev_keys = {p.key for p in trace.paths}
+            for t_now in range(t_seed + HOUR, t_end + 2 * HOUR, HOUR):
+                added = trace.extend(store, t_now)
+                assert _keys_and_scores(added) == ref.extend(t_now)
+                assert _keys_and_scores(trace.paths) == ref.paths
+                assert trace.truncated == ref.truncated
+                if cap == 10_000:
+                    fresh = ForwardTrace.build(store, seed, config, t_now)
+                    fresh_keys = {p.key for p in fresh.paths}
+                    assert {p.key for p in trace.paths} == fresh_keys
+                    assert trace.truncated == fresh.truncated
+                    assert {p.key for p in added} == fresh_keys - prev_keys
+                    prev_keys = fresh_keys
+            with pytest.raises(DataError):
+                trace.extend(store, trace.t_seen - 1)
 
 
 def test_frontier_pruning_flags_truncation():
