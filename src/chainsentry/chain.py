@@ -16,9 +16,11 @@ Labels live in a separate CSV with header ``address,label`` and label values
 """
 from __future__ import annotations
 
+import gc
 import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .errors import DataError, NotFoundError
 
@@ -27,6 +29,7 @@ HOUR = 3600
 _INPUT_KEYS = {"src", "amount", "owner"}
 _OUTPUT_KEYS = {"addr", "amount"}
 _RECORD_KEYS = {"txid", "time", "inputs", "outputs"}
+_order_key = attrgetter("timestamp", "tx_id")
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,56 +104,119 @@ class ParseReport:
     line_errors: list[tuple[int, str]] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
     boundary_inputs: int = 0
+    # Inputs whose owner came from an amount match that several distinct
+    # addresses received; the first such output still names the owner.
+    ambiguous_owners: int = 0
 
 
-def _parse_line(line: str, line_no: int) -> TransactionRecord:
+_scan_json = json.JSONDecoder().scan_once
+
+
+def _parse_line(line: str, strings: dict[str, str]) -> TransactionRecord:
+    """One validated record.  ``strings`` maps each id or address seen so far
+    to its first string object, so repeated ids share one object."""
+    # The decoder's scanner on its own: the line is stripped, so a value that
+    # ends at the line's end is exactly what json.loads accepts.  Anything
+    # else goes through json.loads for its error message.
     try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"invalid JSON: {exc}") from None
+        obj, end = _scan_json(line, 0)
+    except (StopIteration, ValueError, RecursionError):
+        end = -1
+    if end != len(line):
+        try:
+            obj = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers JSONDecodeError and over-long integer literals.
+            raise DataError(f"invalid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise DataError("record is not an object")
-    unknown = set(obj) - _RECORD_KEYS
-    if unknown:
-        raise DataError(f"unknown keys {sorted(unknown)}")
-    missing = _RECORD_KEYS - set(obj)
-    if missing:
-        raise DataError(f"missing keys {sorted(missing)}")
+    if obj.keys() != _RECORD_KEYS:
+        unknown = set(obj) - _RECORD_KEYS
+        if unknown:
+            raise DataError(f"unknown keys {sorted(unknown)}")
+        raise DataError(f"missing keys {sorted(_RECORD_KEYS - set(obj))}")
     txid = obj["txid"]
     if not isinstance(txid, str) or not txid:
         raise DataError("txid must be a non-empty string")
     ts = obj["time"]
     if not isinstance(ts, int) or ts < 0:
         raise DataError("time must be a non-negative integer")
-    if not isinstance(obj["inputs"], list) or not isinstance(obj["outputs"], list):
+    raw_inputs, raw_outputs = obj["inputs"], obj["outputs"]
+    if not isinstance(raw_inputs, list) or not isinstance(raw_outputs, list):
         raise DataError("inputs/outputs must be lists")
+    intern = strings.setdefault
     inputs = []
-    for item in obj["inputs"]:
-        if not isinstance(item, dict) or set(item) - _INPUT_KEYS or "src" not in item or "amount" not in item:
+    total_in = 0
+    for item in raw_inputs:
+        if (not isinstance(item, dict) or not item.keys() <= _INPUT_KEYS
+                or "src" not in item or "amount" not in item):
             raise DataError("malformed input entry")
-        if not isinstance(item["src"], str) or not item["src"]:
+        src, amount = item["src"], item["amount"]
+        if not isinstance(src, str) or not src:
             raise DataError("input src must be a non-empty string")
-        if not isinstance(item["amount"], int) or item["amount"] < 0:
+        if not isinstance(amount, int) or amount < 0:
             raise DataError("input amount must be a non-negative integer")
         owner = item.get("owner")
-        if owner is not None and (not isinstance(owner, str) or not owner):
-            raise DataError("input owner must be a non-empty string")
-        inputs.append(TxInput(item["src"], item["amount"], owner))
+        if owner is not None:
+            if not isinstance(owner, str) or not owner:
+                raise DataError("input owner must be a non-empty string")
+            owner = intern(owner, owner)
+        inputs.append(TxInput(intern(src, src), amount, owner))
+        total_in += amount
     outputs = []
-    for item in obj["outputs"]:
-        if not isinstance(item, dict) or set(item) != _OUTPUT_KEYS:
+    total_out = 0
+    for item in raw_outputs:
+        if not isinstance(item, dict) or item.keys() != _OUTPUT_KEYS:
             raise DataError("malformed output entry")
-        if not isinstance(item["addr"], str) or not item["addr"]:
+        addr, amount = item["addr"], item["amount"]
+        if not isinstance(addr, str) or not addr:
             raise DataError("output addr must be a non-empty string")
-        if not isinstance(item["amount"], int) or item["amount"] < 0:
+        if not isinstance(amount, int) or amount < 0:
             raise DataError("output amount must be a non-negative integer")
-        outputs.append(TxOutput(item["addr"], item["amount"]))
+        outputs.append(TxOutput(intern(addr, addr), amount))
+        total_out += amount
     if not outputs:
         raise DataError("outputs must be non-empty")
-    record = TransactionRecord(txid, ts, tuple(inputs), tuple(outputs))
-    if not record.is_coinbase and record.total_output > record.total_input:
+    if inputs and total_out > total_in:
         raise DataError("output total exceeds input total on a non-coinbase tx")
-    return record
+    return TransactionRecord(intern(txid, txid), ts, tuple(inputs), tuple(outputs))
+
+
+def _group_outputs(outputs) -> tuple[tuple[tuple[str, int], ...], int]:
+    """Outputs summed per address in first-seen order, and their total.
+
+    A single output, or an address paid once, keeps its amount object, so the
+    common case allocates no new ints.
+    """
+    if len(outputs) == 1:
+        out = outputs[0]
+        return ((out.addr, out.amount),), out.amount
+    sums: dict[str, int] = {}
+    for out in outputs:
+        if out.addr in sums:
+            sums[out.addr] += out.amount
+        else:
+            sums[out.addr] = out.amount
+    return tuple(sums.items()), sum(sums.values())
+
+
+def _group_inputs(inputs):
+    """Inputs summed per source tx in first-seen order, each source's first
+    explicit owner (or None), and the input total."""
+    if len(inputs) == 1:
+        inp = inputs[0]
+        return ((inp.src, inp.amount),), (inp.owner,), inp.amount
+    sums: dict[str, int] = {}
+    owners: dict[str, str | None] = {}
+    for inp in inputs:
+        if inp.src in sums:
+            sums[inp.src] += inp.amount
+            if owners[inp.src] is None:
+                owners[inp.src] = inp.owner
+        else:
+            sums[inp.src] = inp.amount
+            owners[inp.src] = inp.owner
+    return tuple(sums.items()), tuple(owners.values()), sum(sums.values())
 
 
 class TxStore:
@@ -176,69 +242,86 @@ class TxStore:
     # -- construction -----------------------------------------------------
 
     def _build_indexes(self) -> None:
+        """Every index in one pass over the records in (timestamp, txid) order.
+
+        Inputs are grouped by source tx and outputs by address; each group's
+        owner is the first explicit ``owner`` among its inputs, else the
+        source output matching its amount.  A source that is missing or later
+        than its spender is an external boundary.
+        """
         txs = self._txs
-        # Aggregated forms: inputs grouped by source tx, outputs by address.
-        self._agg_in: dict[str, tuple[tuple[str, int], ...]] = {}
-        self._agg_out: dict[str, tuple[tuple[str, int], ...]] = {}
-        self._owners: dict[str, tuple[str | None, ...]] = {}
-        self._children: dict[str, list[tuple[str, int]]] = {}
+        report = self.report
+        agg_in_index: dict[str, tuple[tuple[str, int], ...]] = {}
+        agg_out_index: dict[str, tuple[tuple[str, int], ...]] = {}
+        owners_index: dict[str, tuple[str | None, ...]] = {}
+        stats: dict[str, tuple[int, int, int, int]] = {}
+        children: dict[str, list[tuple[str, int]]] = {}
         recv: dict[str, list[str]] = {}
         spend: dict[str, list[str]] = {}
 
-        def order_key(tx_id: str):
-            return (txs[tx_id].timestamp, tx_id)
+        for rec in sorted(txs.values(), key=_order_key):
+            tx_id, ts = rec.tx_id, rec.timestamp
+            agg_out, total_out = _group_outputs(rec.outputs)
+            # A new key gets a one-item list literal, sized for one item;
+            # setdefault's empty list would grow to four slots on append.
+            for addr, _ in agg_out:
+                if addr in recv:
+                    recv[addr].append(tx_id)
+                else:
+                    recv[addr] = [tx_id]
+            if rec.inputs:
+                agg_in, explicit, total_in = _group_inputs(rec.inputs)
+                owners: list[str | None] = []
+                for (src, amount), owner in zip(agg_in, explicit):
+                    src_rec = txs.get(src)
+                    if src_rec is None or src_rec.timestamp > ts:
+                        # Dangling or time-violating reference: external boundary.
+                        report.boundary_inputs += 1
+                        if src_rec is not None:
+                            report.warnings.append(
+                                f"{tx_id}: input {src} is later than spender; treated as boundary"
+                            )
+                    else:
+                        if src in children:
+                            children[src].append((tx_id, amount))
+                        else:
+                            children[src] = [(tx_id, amount)]
+                        if owner is None:
+                            owner = self._match_owner(src_rec, amount)
+                    if owner is not None and owner not in owners:
+                        if owner in spend:
+                            spend[owner].append(tx_id)
+                        else:
+                            spend[owner] = [tx_id]
+                    owners.append(owner)
+                owners_t = tuple(owners)
+            else:
+                agg_in, owners_t, total_in = (), (), 0
+            agg_in_index[tx_id] = agg_in
+            agg_out_index[tx_id] = agg_out
+            owners_index[tx_id] = owners_t
+            stats[tx_id] = (total_in, total_out, len(agg_in), len(agg_out))
 
-        for tx_id in sorted(txs, key=order_key):
-            rec = txs[tx_id]
-            in_agg: dict[str, int] = {}
-            for inp in rec.inputs:
-                in_agg[inp.src] = in_agg.get(inp.src, 0) + inp.amount
-            out_agg: dict[str, int] = {}
-            for out in rec.outputs:
-                out_agg[out.addr] = out_agg.get(out.addr, 0) + out.amount
-            self._agg_in[tx_id] = tuple(in_agg.items())
-            self._agg_out[tx_id] = tuple(out_agg.items())
-            for addr in out_agg:
-                recv.setdefault(addr, []).append(tx_id)
-
-        for tx_id in sorted(txs, key=order_key):
-            rec = txs[tx_id]
-            owners: list[str | None] = []
-            for src, amount in self._agg_in[tx_id]:
-                src_rec = txs.get(src)
-                if src_rec is None or src_rec.timestamp > rec.timestamp:
-                    # Dangling or time-violating reference: external boundary.
-                    self.report.boundary_inputs += 1
-                    if src_rec is not None:
-                        self.report.warnings.append(
-                            f"{tx_id}: input {src} is later than spender; treated as boundary"
-                        )
-                    owners.append(self._explicit_owner(rec, src))
-                    continue
-                self._children.setdefault(src, []).append((tx_id, amount))
-                owner = self._explicit_owner(rec, src)
-                if owner is None:
-                    owner = self._match_owner(src_rec, amount)
-                owners.append(owner)
-            self._owners[tx_id] = tuple(owners)
-            for owner in set(o for o in owners if o is not None):
-                spend.setdefault(owner, []).append(tx_id)
-
+        self._agg_in = agg_in_index
+        self._agg_out = agg_out_index
+        self._owners = owners_index
+        self._stats = stats
+        self._children = children
         self._addr_receive = {a: tuple(v) for a, v in recv.items()}
         self._addr_spend = {a: tuple(v) for a, v in spend.items()}
 
-    def _explicit_owner(self, rec: TransactionRecord, src: str) -> str | None:
-        for inp in rec.inputs:
-            if inp.src == src and inp.owner is not None:
-                return inp.owner
-        return None
-
-    @staticmethod
-    def _match_owner(src_rec: TransactionRecord, amount: int) -> str | None:
+    def _match_owner(self, src_rec: TransactionRecord, amount: int) -> str | None:
+        """The first output of ``src_rec`` paying ``amount``; a second output of
+        that amount to another address counts the input as ambiguous."""
+        owner = None
         for out in src_rec.outputs:
             if out.amount == amount:
-                return out.addr
-        return None
+                if owner is None:
+                    owner = out.addr
+                elif out.addr != owner:
+                    self.report.ambiguous_owners += 1
+                    break
+        return owner
 
     @classmethod
     def from_records(cls, records, labels=None) -> "TxStore":
@@ -264,6 +347,10 @@ class TxStore:
 
     def tx_ids(self):
         return self._txs.keys()
+
+    def tx_stats(self, tx_id: str) -> tuple[int, int, int, int]:
+        """``(total_in, total_out, n_agg_in, n_agg_out)`` of one transaction."""
+        return self._stats[tx_id]
 
     def agg_inputs(self, tx_id: str) -> tuple[tuple[str, int], ...]:
         return self._agg_in[tx_id]
@@ -309,28 +396,40 @@ def parse_transactions(lines, labels: dict[str, int] | None = None,
     wins on duplicate txids.  If more than ``max_error_fraction`` of a
     non-trivial stream is malformed the schema is considered unresolvable and
     the whole parse fails.
+
+    The parse and the index build create no reference cycles, so the cyclic
+    garbage collector is paused for them (its passes over the growing store
+    would find nothing) and left as it was found.
     """
-    report = ParseReport()
-    records: list[TransactionRecord] = []
-    for line_no, line in enumerate(lines, start=1):
-        if isinstance(line, bytes):
-            line = line.decode("utf-8")
-        line = line.strip()
-        if not line:
-            continue
-        report.n_lines += 1
-        try:
-            records.append(_parse_line(line, line_no))
-            report.n_accepted += 1
-        except DataError as exc:
-            report.line_errors.append((line_no, str(exc)))
-    if report.n_lines >= 10 and report.line_errors:
-        if len(report.line_errors) / report.n_lines > max_error_fraction:
-            raise DataError(
-                f"unresolvable schema: {len(report.line_errors)} of "
-                f"{report.n_lines} lines malformed"
-            )
-    return TxStore(records, report, labels)
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        report = ParseReport()
+        records: list[TransactionRecord] = []
+        strings: dict[str, str] = {}
+        for line_no, line in enumerate(lines, start=1):
+            if isinstance(line, bytes):
+                line = line.decode("utf-8")
+            line = line.strip()
+            if not line:
+                continue
+            report.n_lines += 1
+            try:
+                records.append(_parse_line(line, strings))
+                report.n_accepted += 1
+            except DataError as exc:
+                report.line_errors.append((line_no, str(exc)))
+        del strings
+        if report.n_lines >= 10 and report.line_errors:
+            if len(report.line_errors) / report.n_lines > max_error_fraction:
+                raise DataError(
+                    f"unresolvable schema: {len(report.line_errors)} of "
+                    f"{report.n_lines} lines malformed"
+                )
+        return TxStore(records, report, labels)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 def parse_transactions_file(path, labels=None) -> TxStore:

@@ -94,35 +94,33 @@ SCHEMA_HASH = hashlib.sha256(
 assert len(FULL_SCHEMA) == 212
 assert len(SEED_SCHEMA) == 68
 
-# Column ranges of a full row: the address features, then one per path set.
+# Column range of each path set's block in a full row.
 _SET_WIDTH = 1 + len(AGG_STATS) * len(PATH_BASE_FEATURES)
-_BLOCKS = ((0, len(ADDRESS_FEATURES)),) + tuple(
+_SET_BLOCKS = tuple(
     (len(ADDRESS_FEATURES) + k * _SET_WIDTH, len(ADDRESS_FEATURES) + (k + 1) * _SET_WIDTH)
     for k in range(len(PATH_SET_NAMES)))
 
 
-def path_feature_row(store: TxStore, path: AssetTransferPath) -> np.ndarray:
-    """The 12 per-path features, in ``PATH_BASE_FEATURES`` order."""
-    in_amts, out_amts, in_cnts, out_cnts, scores = [], [], [], [], []
-    for _, score, tx_id in path.hops:
-        rec = store.tx(tx_id)
-        in_amts.append(rec.total_input)
-        out_amts.append(rec.total_output)
-        in_cnts.append(len(store.agg_inputs(tx_id)))
-        out_cnts.append(len(store.agg_outputs(tx_id)))
-        scores.append(score)
-    return np.array(
-        [
-            path.hop_length,
-            path.hop_length + 1,  # nodes on the path (frontier depth)
-            max(in_amts), min(in_amts),
-            max(out_amts), min(out_amts),
-            max(in_cnts), min(in_cnts),
-            max(out_cnts), min(out_cnts),
-            max(scores), min(scores),
-        ],
-        dtype=np.float64,
-    )
+def path_feature_row(store: TxStore, path: AssetTransferPath) -> list:
+    """The 12 per-path features, in ``PATH_BASE_FEATURES`` order.
+
+    Python numbers, for the caller to store as float64.  Each hop's amounts
+    and counterparty counts come from the store's per-tx totals.
+    """
+    stats = store.tx_stats
+    hops = path.hops
+    _, score, tx_id = hops[0]
+    total_in, total_out, n_in, n_out = stats(tx_id)
+    row = [len(hops) - 1, len(hops),  # hops, and nodes on the path (frontier depth)
+           total_in, total_in, total_out, total_out, n_in, n_in, n_out, n_out, score, score]
+    for _, score, tx_id in hops[1:]:
+        # Column 2k holds the max and 2k + 1 the min of the k-th hop value.
+        for k, value in enumerate((*stats(tx_id), score), start=1):
+            if value > row[2 * k]:
+                row[2 * k] = value
+            elif value < row[2 * k + 1]:
+                row[2 * k + 1] = value
+    return row
 
 
 def path_features(store: TxStore, paths) -> tuple[np.ndarray, bool]:
@@ -130,7 +128,7 @@ def path_features(store: TxStore, paths) -> tuple[np.ndarray, bool]:
     rows = [path_feature_row(store, p) for p in paths]
     if not rows:
         return np.zeros((0, len(PATH_BASE_FEATURES))), True
-    return np.vstack(rows), False
+    return np.array(rows, dtype=np.float64), False
 
 
 def aggregate_path_set(rows: np.ndarray) -> np.ndarray:
@@ -380,7 +378,7 @@ def feature_timeline(store: TxStore, address: str, hours: int = 24,
                 trackers[set_name].add(store, added)
                 trackers[set_name].truncated |= trace.truncated
 
-        for set_name, (lo, hi) in zip(PATH_SET_NAMES, _BLOCKS[1:]):
+        for set_name, (lo, hi) in zip(PATH_SET_NAMES, _SET_BLOCKS):
             matrix[t, lo:hi] = trackers[set_name].aggregate()
 
     truncated = any(tr.truncated for tr in trackers.values())
@@ -404,7 +402,7 @@ def feature_timeline_rebuilt(store: TxStore, address: str, hours: int = 24,
             sets = path_sets_for_address(store, address, cutoff, params)
         except DataError:
             sets = None
-        for set_name, (lo, hi) in zip(PATH_SET_NAMES, _BLOCKS[1:]):
+        for set_name, (lo, hi) in zip(PATH_SET_NAMES, _SET_BLOCKS):
             if sets is None:
                 rows = np.zeros((0, len(PATH_BASE_FEATURES)))
             else:
@@ -426,22 +424,41 @@ def write_feature_csv(path, timelines: list[FeatureTimeline]) -> None:
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(f"# schema_sha256={SCHEMA_HASH}\n")
             fh.write("address,t_index,label," + ",".join(FULL_SCHEMA) + "\n")
-            # Each block's text is reused while its bytes repeat the previous
-            # row's; bytes, not ==, tell -0.0 from 0.0 and match NaN to NaN.
-            last_bytes = [b""] * len(_BLOCKS)
-            last_text = [""] * len(_BLOCKS)
+            # A cell's text is reused while its bits equal the cell above
+            # (for a first row, the previous timeline's last row); bits, not
+            # ==, tell -0.0 from 0.0 and match NaN to NaN.
+            cells = [""] * len(FULL_SCHEMA)
+            above = None
             for tl in timelines:
+                matrix = np.ascontiguousarray(tl.matrix, dtype=np.float64)
+                if not matrix.shape[0]:
+                    continue
+                bits = matrix.view(np.int64)
+                changed = np.empty(bits.shape, dtype=bool)
+                np.not_equal(bits[1:], bits[:-1], out=changed[1:])
+                if above is None:
+                    changed[0] = True
+                else:
+                    np.not_equal(bits[0], above, out=changed[0])
+                above = bits[-1]
+                rows, cols = np.nonzero(changed)
+                # Each distinct value is formatted once per timeline; repr of
+                # a Python float is what fmt_float gives a numpy scalar.
+                values, which = np.unique(bits[rows, cols], return_inverse=True)
+                texts = list(map(repr, values.view(np.float64).tolist()))
+                texts = list(map(texts.__getitem__, which.tolist()))
+                cols = cols.tolist()
+                ends = np.cumsum(np.bincount(rows, minlength=matrix.shape[0])).tolist()
+                head = f"{tl.address},"
                 label = "" if tl.label is None else str(tl.label)
-                for t, row in enumerate(tl.matrix, start=1):
-                    for k, (lo, hi) in enumerate(_BLOCKS):
-                        block = row[lo:hi]
-                        raw = block.tobytes()
-                        if raw != last_bytes[k]:
-                            last_bytes[k] = raw
-                            # repr of a Python float is what fmt_float gives
-                            # a numpy scalar.
-                            last_text[k] = ",".join(map(repr, block.tolist()))
-                    fh.write(f"{tl.address},{t},{label},{','.join(last_text)}\n")
+                lines = []
+                start = 0
+                for t, end in enumerate(ends, start=1):
+                    for j, text in zip(cols[start:end], texts[start:end]):
+                        cells[j] = text
+                    start = end
+                    lines.append(f"{head}{t},{label},{','.join(cells)}\n")
+                fh.write("".join(lines))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

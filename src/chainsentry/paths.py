@@ -172,7 +172,7 @@ def _forward_expansions(store: TxStore, path: AssetTransferPath, config: PathCon
     """Every admissible hop from the path's tip as (score, child, child time),
     whether or not the child is visible yet."""
     tip = path.tip_tx
-    total_out = store.tx(tip).total_output
+    total_out = store.tx_stats(tip)[1]
     children = store.children(tip)
     n = max(1, len(children))
     for child, amount in children:

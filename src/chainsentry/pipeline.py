@@ -282,6 +282,7 @@ def stage_ingest(config: PipelineConfig, out_dir: Path) -> dict:
         ],
         "warnings": store.report.warnings[:100],
         "boundary_inputs": store.report.boundary_inputs,
+        "ambiguous_owners": store.report.ambiguous_owners,
     }
     path = out_dir / "ingest_report.json"
     path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")

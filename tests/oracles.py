@@ -285,6 +285,73 @@ def reference_address_features(events, t_now):
     )
 
 
+def reference_indexes(records):
+    """The transaction store's indexes, built as two separate passes.
+
+    First occurrence wins on duplicate txids.  The first pass aggregates
+    every transaction's inputs by source and outputs by address; the second
+    resolves each aggregated input's source, rescanning the spender's inputs
+    for an explicit owner before falling back to the first source output
+    with the same amount.  Returns every index as a dict in insertion order
+    (a spender's distinct owners enter the spend index in input order), plus
+    the warnings and the boundary-input count the build reports.
+    """
+    txs = {}
+    warnings = []
+    for rec in records:
+        if rec.tx_id in txs:
+            warnings.append(f"duplicate txid {rec.tx_id} dropped")
+            continue
+        txs[rec.tx_id] = rec
+    order = sorted(txs, key=lambda t: (txs[t].timestamp, t))
+    agg_in, agg_out, owners_index, children, recv, spend = {}, {}, {}, {}, {}, {}
+    for tx_id in order:
+        in_agg, out_agg = {}, {}
+        for inp in txs[tx_id].inputs:
+            in_agg[inp.src] = in_agg.get(inp.src, 0) + inp.amount
+        for out in txs[tx_id].outputs:
+            out_agg[out.addr] = out_agg.get(out.addr, 0) + out.amount
+        agg_in[tx_id] = tuple(in_agg.items())
+        agg_out[tx_id] = tuple(out_agg.items())
+        for addr in out_agg:
+            recv.setdefault(addr, []).append(tx_id)
+
+    def explicit_owner(rec, src):
+        for inp in rec.inputs:
+            if inp.src == src and inp.owner is not None:
+                return inp.owner
+        return None
+
+    boundary = 0
+    for tx_id in order:
+        rec = txs[tx_id]
+        owners = []
+        for src, amount in agg_in[tx_id]:
+            src_rec = txs.get(src)
+            if src_rec is None or src_rec.timestamp > rec.timestamp:
+                boundary += 1
+                if src_rec is not None:
+                    warnings.append(
+                        f"{tx_id}: input {src} is later than spender; treated as boundary")
+                owners.append(explicit_owner(rec, src))
+                continue
+            children.setdefault(src, []).append((tx_id, amount))
+            owner = explicit_owner(rec, src)
+            if owner is None:
+                owner = next((o.addr for o in src_rec.outputs if o.amount == amount), None)
+            owners.append(owner)
+        owners_index[tx_id] = tuple(owners)
+        for owner in dict.fromkeys(o for o in owners if o is not None):
+            spend.setdefault(owner, []).append(tx_id)
+    return {
+        "txs": txs, "agg_in": agg_in, "agg_out": agg_out, "owners": owners_index,
+        "children": children,
+        "addr_receive": {a: tuple(v) for a, v in recv.items()},
+        "addr_spend": {a: tuple(v) for a, v in spend.items()},
+        "warnings": warnings, "boundary_inputs": boundary,
+    }
+
+
 def random_dag_records(rng, n_tx_max=50):
     """A random ancestry DAG of transactions for path-oracle checks."""
     from chainsentry.chain import TransactionRecord, TxInput, TxOutput

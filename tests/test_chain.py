@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -8,6 +9,7 @@ from chainsentry.chain import (address_history, expand_pairs, parse_transactions
                                TxStore)
 from chainsentry.errors import DataError, NotFoundError
 from conftest import HOUR, T0, tx
+from oracles import random_dag_records, reference_indexes
 
 
 def test_empty_stream():
@@ -123,6 +125,82 @@ def test_owner_resolution_falls_back_to_amount_match():
     store = TxStore.from_records(records)
     assert store.input_owners("sp") == ("owner_b",)
     assert store.spend_txs("owner_b") == ("sp",)
+
+
+def test_ambiguous_amount_match_is_counted_and_keeps_the_first_owner():
+    def spend_from(outputs, owner=None):
+        return TxStore.from_records([
+            tx("src", T0, [], outputs),
+            tx("sp", T0 + 10, [("src", 5, owner)], [("c", 5)]),
+        ])
+
+    split = spend_from([("x", 5), ("y", 5)])
+    assert split.input_owners("sp") == ("x",)
+    assert split.report.ambiguous_owners == 1
+    same = spend_from([("x", 5), ("x", 5)])
+    assert same.input_owners("sp") == ("x",)
+    assert same.report.ambiguous_owners == 0
+    # An explicit owner is not recovered by amount, so it is never ambiguous.
+    named = spend_from([("x", 5), ("y", 5)], owner="y")
+    assert named.input_owners("sp") == ("y",)
+    assert named.report.ambiguous_owners == 0
+
+
+_INDEXES = ("txs", "agg_in", "agg_out", "owners", "children", "addr_receive", "addr_spend")
+
+
+def _assert_store_matches_reference(records):
+    store = TxStore.from_records(records)
+    ref = reference_indexes(records)
+    for name in _INDEXES:
+        assert list(getattr(store, f"_{name}").items()) == list(ref[name].items()), name
+    assert store.report.warnings == ref["warnings"]
+    assert store.report.boundary_inputs == ref["boundary_inputs"]
+    for tx_id, rec in ref["txs"].items():
+        assert store.tx_stats(tx_id) == (
+            rec.total_input, rec.total_output,
+            len(ref["agg_in"][tx_id]), len(ref["agg_out"][tx_id]))
+    return store
+
+
+@pytest.mark.parametrize("records", [
+    pytest.param([tx("a", T0, [], [("x", 5)]),
+                  tx("a", T0 + 1, [], [("y", 6)]),
+                  tx("b", T0 + 2, [("a", 5, None)], [("z", 5)])], id="duplicate-txid"),
+    pytest.param([tx("a", T0, [], [("x", 5)]),
+                  tx("b", T0 + 1, [("ghost", 3, "g"), ("a", 5, None)], [("z", 8)])],
+                 id="dangling-source"),
+    pytest.param([tx("later", T0 + 100, [], [("x", 50)]),
+                  tx("sp", T0, [("later", 20, "x"), ("later", 30, None)], [("y", 50)])],
+                 id="time-violating-source"),
+    pytest.param([tx("src", T0, [], [("x", 3), ("y", 4)]),
+                  tx("sp", T0 + 10, [("src", 3, None), ("src", 4, "y")], [("c", 7)])],
+                 id="explicit-owner-on-second-input"),
+    pytest.param([tx("src", T0, [], [("x", 3), ("y", 4)]),
+                  tx("sp", T0 + 10, [("src", 3, "y"), ("src", 4, "x")], [("c", 7)])],
+                 id="explicit-owners-disagree"),
+    pytest.param([tx("b", T0, [], [("x", 5)]),
+                  tx("a", T0, [("b", 5, None)], [("y", 5)])],
+                 id="same-second-source-sorted-after-spender"),
+])
+def test_store_indexes_match_the_two_pass_reference(records):
+    _assert_store_matches_reference(records)
+
+
+def test_store_indexes_match_the_two_pass_reference_on_random_dags():
+    rng = np.random.default_rng(20)
+    for trial in range(150):
+        records = random_dag_records(rng, n_tx_max=40)
+        if trial % 2:
+            # Spend each source through one or two inputs and name the owner
+            # on about half of them, from a small pool so that one source's
+            # inputs can disagree.
+            records = [dataclasses.replace(rec, inputs=tuple(
+                dataclasses.replace(i, owner=f"own{int(rng.integers(3))}")
+                if rng.random() < 0.5 else i
+                for i in rec.inputs for _ in range(int(rng.integers(1, 3)))))
+                for rec in records]
+        _assert_store_matches_reference(records)
 
 
 def test_expand_pairs_counts():

@@ -66,6 +66,7 @@ def test_single_stage_invocations(tmp_path, config_file):
     report = json.loads((out / "ingest_report.json").read_text())
     assert report["rejected_lines"] == 0
     assert report["transactions"] > 0
+    assert report["ambiguous_owners"] >= 0
 
 
 def test_seed_override_changes_universe(tmp_path, config_file):

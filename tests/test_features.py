@@ -307,13 +307,30 @@ def test_feature_csv_writer_matches_per_cell_format(tmp_path):
     matrix[0, :len(awkward)] = awkward
     matrix[1, -len(awkward):] = awkward[::-1]
     # Consecutive hours in which a block changes only in the sign of a zero,
-    # only in a NaN, or not at all; the writer reuses a block's text only
-    # while its bytes repeat.
+    # only in a NaN, or not at all; the writer reuses a cell's text only
+    # while its bits repeat.
     blocks = np.ones((8, len(FULL_SCHEMA)))
     blocks[0:4, 70] = [0.0, -0.0, 0.0, -0.0]
     blocks[4:6, 120] = float("nan")
     blocks[1, 3] = blocks[2, 200] = -0.0
-    cases = (("odd", 0, matrix), ("nolabel", None, matrix[::-1]), ("blocks", 2, blocks))
+    # One cell changes inside an otherwise repeated row, then changes back.
+    steady = np.tile(np.arange(len(FULL_SCHEMA), dtype=np.float64), (4, 1))
+    steady[1, 100] = 0.1
+    steady[2, 100] = 0.2
+    # Single cells flip the sign of a zero or turn NaN and back.
+    flips = np.full((5, len(FULL_SCHEMA)), 7.0)
+    flips[:, 5] = [0.0, -0.0, -0.0, 0.0, -0.0]
+    flips[:, 50] = [np.nan, 1.0, np.nan, np.nan, 1.0]
+    flips[2, 211] = -0.0
+    # A timeline whose first row repeats the previous timeline's last row,
+    # then one whose first row differs from it in one cell only, then one
+    # with no cell different from the row above.
+    carried = np.vstack([flips[-1], flips[0]])
+    nudged = carried[-1:].copy()
+    nudged[0, 0] = -7.0
+    cases = (("odd", 0, matrix), ("nolabel", None, matrix[::-1]), ("blocks", 2, blocks),
+             ("steady", 1, steady), ("flips", 0, flips), ("carried", 0, carried),
+             ("nudged", 1, nudged), ("repeated", None, np.vstack([nudged, nudged])))
     path = tmp_path / "features.csv"
     write_feature_csv(path, [FeatureTimeline(a, label, 0, m) for a, label, m in cases])
     want = [f"# schema_sha256={SCHEMA_HASH}",

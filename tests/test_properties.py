@@ -1,8 +1,13 @@
 """Property-based invariants over generated inputs."""
-import numpy as np
-from hypothesis import given, settings, strategies as st
+import gc
+import json
 
-from chainsentry.chain import TransactionRecord, TxInput, TxOutput, expand_pairs
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
+
+from chainsentry.chain import (TransactionRecord, TxInput, TxOutput, expand_pairs,
+                               parse_transactions)
+from chainsentry.errors import DataError
 from chainsentry.features import aggregate_path_set
 from chainsentry.intention import intention_index_of
 from chainsentry.metrics import f1_consistency, f1_early
@@ -87,3 +92,50 @@ def test_materialized_column_count_formula(seed):
     spec = FeatureSpec(tuple(complement), tuple(reserve), tuple(delete))
     out = materialize_features(spec, rng.normal(size=(2, 212)))
     assert out.shape[1] == len(reserve) + 4 * len(complement)
+
+
+# Near-valid transaction lines: every field is usually well-typed, sometimes
+# junk, sometimes missing, sometimes joined by an unknown key.
+_junk = st.one_of(st.none(), st.booleans(), st.floats(), st.text(max_size=4),
+                  st.lists(st.integers(), max_size=2), st.integers(-(10**20), 10**20))
+_ids = st.sampled_from(["t0", "t1", "t2", "t3"])
+_addrs = st.sampled_from(["a", "b", "c"])
+_amounts = st.integers(min_value=-1, max_value=20)
+_input = st.fixed_dictionaries({"src": _ids | _junk, "amount": _amounts | _junk},
+                               optional={"owner": _addrs | _junk, "note": _junk})
+_output = st.fixed_dictionaries({"addr": _addrs | _junk, "amount": _amounts | _junk},
+                                optional={"note": _junk})
+_record = st.fixed_dictionaries(
+    {"txid": _ids | _junk, "time": st.integers(-1, 50) | _junk,
+     "inputs": st.lists(_input, max_size=3) | _junk,
+     "outputs": st.lists(_output, max_size=3) | _junk},
+    optional={"note": _junk})
+_record_lines = st.tuples(_record, st.sets(st.sampled_from(["txid", "time", "inputs", "outputs"]),
+                                           max_size=1)).map(
+    lambda rd: json.dumps({k: v for k, v in rd[0].items() if k not in rd[1]}))
+_lines = st.one_of(_record_lines, _record_lines.map(lambda line: line[:-1]),
+                   st.text(max_size=30), st.just(""))
+
+
+@settings(deadline=None, max_examples=300)
+@given(lines=st.lists(_lines, max_size=12), gc_on=st.booleans())
+@example(lines=["[" * 100_000], gc_on=True)
+@example(lines=['{"txid": "t", "time": ' + "1" * 5000 + "}"], gc_on=False)
+@example(lines=["garbage"] * 10, gc_on=True)
+@example(lines=["garbage"] * 10, gc_on=False)
+def test_parser_reports_every_line_or_raises_data_error(lines, gc_on):
+    was_enabled = gc.isenabled()
+    (gc.enable if gc_on else gc.disable)()
+    try:
+        try:
+            store = parse_transactions(lines)
+        except DataError:
+            pass
+        else:
+            report = store.report
+            assert report.n_lines == sum(1 for line in lines if line.strip())
+            assert report.n_accepted + len(report.line_errors) == report.n_lines
+            assert len(store) <= report.n_accepted
+        assert gc.isenabled() == gc_on
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
