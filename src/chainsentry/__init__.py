@@ -14,7 +14,7 @@ from .errors import (ChainSentryError, ConfigError, DataError, NotFittedError,
                      NotFoundError)
 from .features import (FULL_SCHEMA, SCHEMA_HASH, SEED_SCHEMA, FeatureTimeline,
                        aggregate_path_set, feature_timeline, path_features)
-from .gbt import GBTClassifier, train_gbt
+from .gbt import GBTClassifier
 from .intention import IntentionConfig, IntentionNetwork, SequenceBatch
 from .metrics import (confident_time, evaluate, f1_consistency, f1_early,
                       timeline_metrics)
@@ -48,5 +48,5 @@ __all__ = [
     "parse_transactions_file", "path_features", "path_sets_for_address",
     "propose_breakpoints", "run_pipeline", "segment_representations",
     "serialize_transactions", "timeline_metrics", "train_decision_tree",
-    "train_gbt", "trust_pairs",
+    "trust_pairs",
 ]

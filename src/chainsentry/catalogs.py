@@ -20,7 +20,7 @@ from scipy.cluster.hierarchy import fcluster, linkage
 from .base import ParamsMixin, as_float_matrix
 from .errors import DataError, NotFittedError
 from .serialize import fmt_float, fmt_floats
-from .tree import DecisionTreeClassifier
+from .tree import DecisionTreeClassifier, _Node
 
 
 # Cluster counts that worked best per behavior family in tuning; any of the
@@ -198,8 +198,6 @@ class VectorCatalog(ParamsMixin):
         cat.explainer_accuracy_ = obj["explainer_accuracy"]
         tree = DecisionTreeClassifier()
         tree.classes_ = np.array(obj["explainer"]["classes"], dtype=np.int64)
-        from .tree import _Node
-
         tree.nodes_ = []
         for nd in obj["explainer"]["nodes"]:
             tree.nodes_.append(_Node(

@@ -409,7 +409,12 @@ def parse_transactions(lines, labels: dict[str, int] | None = None,
         strings: dict[str, str] = {}
         for line_no, line in enumerate(lines, start=1):
             if isinstance(line, bytes):
-                line = line.decode("utf-8")
+                try:
+                    line = line.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    report.n_lines += 1
+                    report.line_errors.append((line_no, f"invalid UTF-8: {exc}"))
+                    continue
             line = line.strip()
             if not line:
                 continue
@@ -433,7 +438,8 @@ def parse_transactions(lines, labels: dict[str, int] | None = None,
 
 
 def parse_transactions_file(path, labels=None) -> TxStore:
-    with open(path, "r", encoding="utf-8") as fh:
+    # Binary lines, so a line that is not UTF-8 is rejected on its own.
+    with open(path, "rb") as fh:
         return parse_transactions(fh, labels)
 
 

@@ -389,8 +389,7 @@ def stage_features(config: PipelineConfig, out_dir: Path, jobs: int = 1) -> None
                  [features_dir / "features.csv", features_dir / "schema.json"])
 
 
-def _load_timelines(config: PipelineConfig, out_dir: Path,
-                    addresses=None) -> list[FeatureTimeline]:
+def _load_timelines(out_dir: Path, addresses=None) -> list[FeatureTimeline]:
     path = _require(out_dir / "features" / "features.csv", "features")
     timelines = read_feature_csv(path, addresses)
     timelines.sort(key=lambda tl: tl.address)
@@ -406,7 +405,7 @@ def _split_addresses(config: PipelineConfig, timelines) -> tuple[list[str], list
 
 
 def stage_select(config: PipelineConfig, out_dir: Path) -> FeatureSpec:
-    timelines = _load_timelines(config, out_dir)
+    timelines = _load_timelines(out_dir)
     train_addrs, holdout_addrs = _split_addresses(config, timelines)
     split_path = out_dir / "split.json"
     split_path.write_text(json.dumps(
@@ -440,10 +439,9 @@ def _load_split(out_dir: Path) -> tuple[list[str], list[str]]:
 
 
 def stage_segment(config: PipelineConfig, out_dir: Path) -> None:
-    timelines = _load_timelines(config, out_dir)
+    timelines = _load_timelines(out_dir)
     spec = _load_featurespec(out_dir)
     train_addrs, _ = _load_split(out_dir)
-    train_set = set(train_addrs)
     materialized = {
         tl.address: materialize_features(spec, tl.matrix) for tl in timelines
     }
@@ -539,7 +537,7 @@ class SequenceContext:
 
 
 def stage_train(config: PipelineConfig, out_dir: Path) -> None:
-    timelines = _load_timelines(config, out_dir)
+    timelines = _load_timelines(out_dir)
     ctx = SequenceContext.load(out_dir)
     train_addrs, _ = _load_split(out_dir)
     train_set = set(train_addrs)
@@ -586,7 +584,7 @@ def _load_models(out_dir: Path):
 
 
 def stage_predict(config: PipelineConfig, out_dir: Path) -> None:
-    timelines = _load_timelines(config, out_dir)
+    timelines = _load_timelines(out_dir)
     ctx = SequenceContext.load(out_dir)
     gbt_status, gbt_action, params, dims, icfg = _load_models(out_dir)
     batch = ctx.batch(timelines, gbt_status, gbt_action)
@@ -651,8 +649,9 @@ def stage_eval(config: PipelineConfig, out_dir: Path) -> dict:
     if split_path.exists():
         split = json.loads(split_path.read_text())
         for part in ("train", "holdout"):
-            member = [i for i, a in enumerate(addresses) if a in set(split[part])]
-            if member and np.unique(y[member]).size > 0:
+            part_set = set(split[part])
+            member = [i for i, a in enumerate(addresses) if a in part_set]
+            if member:
                 sub = evaluate([addresses[i] for i in member], p[member], y[member])
                 payload[part] = json.loads(sub.to_json())
     eval_path = out_dir / "eval_report.json"
@@ -669,7 +668,7 @@ def stage_eval(config: PipelineConfig, out_dir: Path) -> dict:
 def explain_address(config: PipelineConfig, out_dir: Path, address: str) -> str:
     """Human-readable interpretation: status/action sequences with decision
     paths, the intention motif, and the survival trace."""
-    timelines = _load_timelines(config, out_dir, {address})
+    timelines = _load_timelines(out_dir, {address})
     if not timelines:
         raise NotFoundError(f"address {address!r} has no feature rows; run features")
     ctx = SequenceContext.load(out_dir)

@@ -7,6 +7,7 @@ numpy, a from-first-principles booster instead of the production one.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -230,6 +231,178 @@ class NaiveBooster:
                 [self._tree_predict(tree, x) for x in X])
         return self._sigmoid(margin)
 
+
+
+# -- per-node argsort tree growth ---------------------------------------------
+# The tree learners as they were before the shared presorted kernel: every
+# node sorts each of its columns with its own stable argsort.  The kernel
+# must reproduce these trees bit for bit, not just to a tolerance.
+
+@dataclass
+class RefNode:
+    feature: int = -1
+    threshold: float = 0.0
+    left: int = -1
+    right: int = -1
+    n: int = 0
+    counts: np.ndarray | None = None
+    value: float = 0.0
+
+
+def _ref_link(nodes, parent, is_right):
+    node_id = len(nodes)
+    node = RefNode()
+    nodes.append(node)
+    if parent >= 0:
+        if is_right:
+            nodes[parent].right = node_id
+        else:
+            nodes[parent].left = node_id
+    return node_id, node
+
+
+
+def node_bits(nodes):
+    """Each node's links, row count and exact float bits, for comparing
+    trees node for node."""
+    return [(nd.feature, float(nd.threshold).hex(), nd.left, nd.right, nd.n,
+             None if nd.counts is None else nd.counts.tobytes(),
+             float(nd.value).hex()) for nd in nodes]
+
+def reference_cart(X, y, max_depth, min_samples_leaf, random_state):
+    """Gini CART growth; returns (classes, nodes, feature importances)."""
+    X = np.asarray(X, dtype=np.float64)
+    classes, y_enc = np.unique(y, return_inverse=True)
+    n, d = X.shape
+    feature_order = np.random.default_rng(random_state).permutation(d)
+    onehot = np.zeros((n, classes.size))
+    onehot[np.arange(n), y_enc] = 1.0
+    nodes, raw = [], np.zeros(d)
+    stack = [(np.arange(n), 0, -1, False)]
+    while stack:
+        idx, depth, parent, is_right = stack.pop()
+        node_id, node = _ref_link(nodes, parent, is_right)
+        counts = onehot[idx].sum(axis=0)
+        total = idx.size
+        p = counts / total if total else counts
+        impurity = 1.0 - float(np.sum(p * p)) if total else 0.0
+        node.n, node.counts = total, counts
+        if (depth >= max_depth or total < 2 * min_samples_leaf
+                or impurity <= 0.0):
+            continue
+        best_gain, best = 0.0, None
+        for f in feature_order:
+            vals = X[idx, f]
+            order = np.argsort(vals, kind="stable")
+            v = vals[order]
+            if v[0] == v[-1]:
+                continue
+            left_counts = np.cumsum(onehot[idx[order]], axis=0)[:-1]
+            n_left = np.arange(1, total)
+            n_right = total - n_left
+            valid = ((v[1:] != v[:-1]) & (n_left >= min_samples_leaf)
+                     & (n_right >= min_samples_leaf))
+            if not valid.any():
+                continue
+            right_counts = counts[None, :] - left_counts
+            gl = 1.0 - np.sum((left_counts / n_left[:, None]) ** 2, axis=1)
+            gr = 1.0 - np.sum((right_counts / n_right[:, None]) ** 2, axis=1)
+            gain = impurity - (n_left * gl + n_right * gr) / total
+            gain[~valid] = -np.inf
+            pos = int(np.argmax(gain))
+            if gain[pos] > best_gain + 1e-15:
+                best_gain = float(gain[pos])
+                best = (int(f), float((v[pos] + v[pos + 1]) / 2.0))
+        if best is None:
+            continue
+        node.feature, node.threshold = best
+        raw[node.feature] += total * best_gain / n
+        mask = X[idx, node.feature] <= node.threshold
+        stack.append((idx[~mask], depth + 1, node_id, True))
+        stack.append((idx[mask], depth + 1, node_id, False))
+    s = raw.sum()
+    return classes, nodes, (raw / s if s > 0 else raw.copy())
+
+
+def reference_newton_tree(X, g, h, counts, max_depth, min_samples_leaf,
+                          reg_lambda):
+    """One boosting round's tree over (g, h) with row multiplicities."""
+    nodes = []
+    stack = [(np.arange(X.shape[0]), 0, -1, False)]
+    while stack:
+        idx, depth, parent, is_right = stack.pop()
+        node_id, node = _ref_link(nodes, parent, is_right)
+        G = g[idx].sum()
+        H = h[idx].sum()
+        node.value = -G / (H + reg_lambda)
+        node.n = idx.size
+        n_here = counts[idx].sum()
+        if depth >= max_depth or n_here < 2 * min_samples_leaf:
+            continue
+        parent_score = G * G / (H + reg_lambda)
+        best_gain, best = 1e-12, None
+        for f in range(X.shape[1]):
+            vals = X[idx, f]
+            order = np.argsort(vals, kind="stable")
+            v = vals[order]
+            if v[0] == v[-1]:
+                continue
+            gl = np.cumsum(g[idx[order]])[:-1]
+            hl = np.cumsum(h[idx[order]])[:-1]
+            nl = np.cumsum(counts[idx[order]])[:-1]
+            valid = ((v[1:] != v[:-1]) & (nl >= min_samples_leaf)
+                     & (n_here - nl >= min_samples_leaf))
+            if not valid.any():
+                continue
+            gr = G - gl
+            hr = H - hl
+            gain = (gl * gl / (hl + reg_lambda) + gr * gr / (hr + reg_lambda)
+                    - parent_score)
+            gain[~valid] = -np.inf
+            pos = int(np.argmax(gain))
+            if gain[pos] > best_gain:
+                best_gain = float(gain[pos])
+                best = (f, float((v[pos] + v[pos + 1]) / 2.0))
+        if best is None:
+            continue
+        node.feature, node.threshold = best
+        mask = X[idx, node.feature] <= node.threshold
+        stack.append((idx[~mask], depth + 1, node_id, True))
+        stack.append((idx[mask], depth + 1, node_id, False))
+    return nodes
+
+
+def _ref_tree_values(nodes, X):
+    out = np.zeros(X.shape[0])
+    for i, x in enumerate(X):
+        node = nodes[0]
+        while node.feature >= 0:
+            node = nodes[node.left if x[node.feature] <= node.threshold
+                         else node.right]
+        out[i] = node.value
+    return out
+
+
+def reference_boosted_trees(X, y, n_rounds, max_depth, learning_rate,
+                            reg_lambda, min_samples_leaf, pos_weight):
+    """The trees of a boosting fit from ``reference_newton_tree``, grouping
+    identical (row, label) pairs into multiplicities as the booster does."""
+    rows = np.hstack([np.asarray(X, dtype=np.float64),
+                      np.asarray(y, dtype=np.float64)[:, None]])
+    uniq, counts = np.unique(rows, axis=0, return_counts=True)
+    Xu, yu = uniq[:, :-1], uniq[:, -1]
+    w = counts.astype(np.float64) * np.where(yu == 1, pos_weight, 1.0)
+    w = w / w.mean()
+    cnt = counts.astype(np.float64)
+    margin = np.zeros(Xu.shape[0])
+    trees = []
+    for _ in range(n_rounds):
+        p = _ref_sigmoid(margin)
+        nodes = reference_newton_tree(Xu, w * (p - yu), w * p * (1.0 - p), cnt,
+                                      max_depth, min_samples_leaf, reg_lambda)
+        trees.append(nodes)
+        margin = margin + learning_rate * _ref_tree_values(nodes, Xu)
+    return trees
 
 def _ref_hourly_peak(times, creation_bucket):
     """(max per-bucket count, offset of the earliest peak bucket from creation)."""

@@ -291,7 +291,7 @@ def test_criterion_08_case_shape_reproduction(acceptance_run):
     labels = load_labels(out / "labels.csv")
     meta = json.loads((out / "scenario.json").read_text())["meta"]
     ctx = SequenceContext.load(out)
-    timelines = _load_timelines(config, out)
+    timelines = _load_timelines(out)
     feats, svecs, avecs, sidxs, aidxs, labs, addrs = ctx.sequences(timelines)
     global_modal_action = int(np.bincount(aidxs.ravel()).argmax())
     hacks = [a for a in addrs if labels[a] == 1]

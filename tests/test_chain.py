@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from chainsentry.chain import (address_history, expand_pairs, parse_transactions,
-                               serialize_transaction, serialize_transactions,
-                               TxStore)
+                               parse_transactions_file, serialize_transaction,
+                               serialize_transactions, TxStore)
 from chainsentry.errors import DataError, NotFoundError
 from conftest import HOUR, T0, tx
 from oracles import random_dag_records, reference_indexes
@@ -38,6 +38,31 @@ def test_malformed_lines_reported_not_fatal():
     assert len(store) == 2
     assert len(store.report.line_errors) == 1
     assert store.report.line_errors[0][0] == 2
+
+
+def _coinbase_line(txid, addr):
+    return ('{"txid": "%s", "time": %d, "inputs": [], '
+            '"outputs": [{"addr": "%s", "amount": 5}]}' % (txid, T0, addr)).encode("latin-1")
+
+
+def test_non_utf8_line_is_a_line_error(tmp_path):
+    path = tmp_path / "tx.jsonl"
+    path.write_bytes(_coinbase_line("t1", "a") + b"\n" + _coinbase_line("t2", "b\xff\xfe") + b"\n")
+    store = parse_transactions_file(path)
+    assert store.report.n_lines == 2
+    assert store.report.n_accepted == 1
+    assert [line_no for line_no, _ in store.report.line_errors] == [2]
+    assert "invalid UTF-8" in store.report.line_errors[0][1]
+    assert list(store.tx_ids()) == ["t1"]
+
+
+def test_crlf_file_parses(tmp_path):
+    path = tmp_path / "tx.jsonl"
+    path.write_bytes(_coinbase_line("t1", "a") + b"\r\n" + _coinbase_line("t2", "b") + b"\r\n")
+    store = parse_transactions_file(path)
+    assert store.report.n_accepted == 2
+    assert store.report.line_errors == []
+    assert sorted(store.tx_ids()) == ["t1", "t2"]
 
 
 def test_unresolvable_schema_fatal():
@@ -274,7 +299,5 @@ def test_bulk_generation_count_matches_line_oracle(tmp_path):
     with open(path, "rb") as fh:
         line_count = sum(1 for _ in fh)
     assert line_count == n
-    from chainsentry.chain import parse_transactions_file
-
     store = parse_transactions_file(path)
     assert len(store) == n

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from chainsentry.errors import DataError
-from chainsentry.gbt import GBTClassifier, train_gbt
-from oracles import NaiveBooster
+from chainsentry.gbt import GBTClassifier
+from oracles import NaiveBooster, node_bits, reference_boosted_trees
 
 
 def separable(rng, n=120):
@@ -38,7 +38,7 @@ def test_training_loss_monotone_and_converges(rng):
 
 def test_single_class_rejected():
     with pytest.raises(DataError):
-        train_gbt(np.zeros((10, 2)), np.zeros(10, dtype=int))
+        GBTClassifier().fit(np.zeros((10, 2)), np.zeros(10, dtype=int))
 
 
 def test_permutation_null_auc(rng):
@@ -77,6 +77,24 @@ def test_matches_naive_reference_booster(rng):
     ours_p = ours.predict_proba(X)[:, 1]
     ref_p = ref.predict_proba1(X)
     assert np.allclose(ours_p, ref_p, atol=1e-6)
+
+
+@pytest.mark.parametrize("min_samples_leaf", [1, 5])
+def test_trees_match_per_node_argsort_reference(min_samples_leaf):
+    rng = np.random.default_rng(min_samples_leaf)
+    # Half steps: many ties, so the cumsums depend on the order within them.
+    X = np.round(rng.normal(size=(90, 4)) * 2.0) / 2.0
+    X[:, 1] = 2.0                                # a constant column
+    y = (X[:, 0] - X[:, 2] + rng.normal(scale=0.5, size=90) > 0).astype(int)
+    # Duplicate rows, so the grouped multiplicities run from 1 to 3.
+    reps = rng.integers(1, 4, size=90)
+    X, y = np.repeat(X, reps, axis=0), np.repeat(y, reps)
+    model = GBTClassifier(n_rounds=15, max_depth=4, learning_rate=0.3,
+                          min_samples_leaf=min_samples_leaf, pos_weight=2.0).fit(X, y)
+    ref = reference_boosted_trees(X, y, n_rounds=15, max_depth=4, learning_rate=0.3,
+                                  reg_lambda=1.0, min_samples_leaf=min_samples_leaf,
+                                  pos_weight=2.0)
+    assert [node_bits(t) for t in model.trees_] == [node_bits(t) for t in ref]
 
 
 def test_balanced_weight_resolution(rng):

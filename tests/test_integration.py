@@ -138,7 +138,7 @@ def test_segment_sequence_matches_hourly_expansion(tmp_path):
     from chainsentry.pipeline import _load_timelines
 
     ctx = SequenceContext.load(tmp_path)
-    timelines = _load_timelines(config, tmp_path)
+    timelines = _load_timelines(tmp_path)
     tl = timelines[0]
     per_segment = ctx.segment_sequence(tl)
     assert len(per_segment) == ctx.plan.n_segments

@@ -114,7 +114,17 @@ _record_lines = st.tuples(_record, st.sets(st.sampled_from(["txid", "time", "inp
                                            max_size=1)).map(
     lambda rd: json.dumps({k: v for k, v in rd[0].items() if k not in rd[1]}))
 _lines = st.one_of(_record_lines, _record_lines.map(lambda line: line[:-1]),
-                   st.text(max_size=30), st.just(""))
+                   st.text(max_size=30), st.just(""),
+                   _record_lines.map(str.encode), st.binary(max_size=30))
+
+
+def _is_blank(line) -> bool:
+    if isinstance(line, bytes):
+        try:
+            line = line.decode("utf-8")
+        except UnicodeDecodeError:
+            return False
+    return not line.strip()
 
 
 @settings(deadline=None, max_examples=300)
@@ -123,6 +133,7 @@ _lines = st.one_of(_record_lines, _record_lines.map(lambda line: line[:-1]),
 @example(lines=['{"txid": "t", "time": ' + "1" * 5000 + "}"], gc_on=False)
 @example(lines=["garbage"] * 10, gc_on=True)
 @example(lines=["garbage"] * 10, gc_on=False)
+@example(lines=[b'{"txid": "t\xff\xfe"}', b"\x80 \r\n"], gc_on=True)
 def test_parser_reports_every_line_or_raises_data_error(lines, gc_on):
     was_enabled = gc.isenabled()
     (gc.enable if gc_on else gc.disable)()
@@ -133,7 +144,7 @@ def test_parser_reports_every_line_or_raises_data_error(lines, gc_on):
             pass
         else:
             report = store.report
-            assert report.n_lines == sum(1 for line in lines if line.strip())
+            assert report.n_lines == sum(1 for line in lines if not _is_blank(line))
             assert report.n_accepted + len(report.line_errors) == report.n_lines
             assert len(store) <= report.n_accepted
         assert gc.isenabled() == gc_on

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from chainsentry.tree import DecisionTreeClassifier
+from oracles import node_bits, reference_cart
 
 
 def test_perfectly_separable_single_feature():
@@ -80,3 +81,22 @@ def test_single_class_leaf_model():
     model = DecisionTreeClassifier().fit(X, y)
     assert model.n_leaves_ == 1
     assert (model.predict(X) == 0).all()
+
+
+@pytest.mark.parametrize("n_classes", [2, 16])
+@pytest.mark.parametrize("min_samples_leaf", [1, 5])
+def test_matches_per_node_argsort_reference(n_classes, min_samples_leaf):
+    rng = np.random.default_rng(10 * n_classes + min_samples_leaf)
+    X = np.round(rng.normal(size=(240, 6)), 1)   # rounded: many ties
+    X[:, 2] = 0.5                                 # a constant column
+    X = np.vstack([X, X[:80]])                    # duplicate rows
+    y = np.floor((X[:, 0] + X[:, 3]) * n_classes / 3).astype(int) % n_classes
+    noisy = rng.random(y.size) < 0.3
+    y[noisy] = rng.integers(0, n_classes, size=int(noisy.sum()))
+    for seed, max_depth in ((0, 1), (1, 4), (2, 12)):
+        model = DecisionTreeClassifier(max_depth, min_samples_leaf, seed).fit(X, y)
+        classes, nodes, importances = reference_cart(X, y, max_depth,
+                                                     min_samples_leaf, seed)
+        assert np.array_equal(model.classes_, classes)
+        assert node_bits(model.nodes_) == node_bits(nodes)
+        assert model.feature_importances_.tobytes() == importances.tobytes()
