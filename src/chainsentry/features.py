@@ -13,7 +13,10 @@ feature file so downstream stages can detect drift.
 from __future__ import annotations
 
 import hashlib
+import heapq
+import math
 import os
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -131,26 +134,50 @@ def path_features(store: TxStore, paths) -> tuple[np.ndarray, bool]:
     return np.array(rows, dtype=np.float64), False
 
 
-def aggregate_path_set(rows: np.ndarray) -> np.ndarray:
+def aggregate_path_set(rows: np.ndarray, sizes=None) -> np.ndarray:
     """49 values: path count, then (avg, max, min, std) per path feature.
 
     Std is the population standard deviation.  An empty set aggregates to
-    all zeros.
+    all zeros.  With ``sizes``, one 49-vector per size: row ``k`` aggregates
+    the first ``sizes[k]`` rows, bit-equal to a call on ``rows[:sizes[k]]``.
     """
-    out = np.zeros(1 + 4 * len(PATH_BASE_FEATURES), dtype=np.float64)
-    if rows.shape[0] == 0:
+    if sizes is None:
+        return _aggregate_prefixes(rows, (rows.shape[0],))[0]
+    return _aggregate_prefixes(rows, sizes)
+
+
+_STD_BLOCK_ROWS = 2048
+
+
+def _aggregate_prefixes(rows: np.ndarray, sizes) -> np.ndarray:
+    sizes = np.asarray(sizes, dtype=np.intp)
+    out = np.zeros((sizes.size, 1 + 4 * len(PATH_BASE_FEATURES)), dtype=np.float64)
+    distinct = np.unique(sizes[sizes > 0])
+    if not distinct.size:
         return out
-    n = rows.shape[0]
-    out[0] = n
-    # The same sums and divisions as numpy's mean and std, without their
-    # second pass for the mean.
-    mean = rows.sum(axis=0) / n
-    stats = np.empty((len(PATH_BASE_FEATURES), 4))
-    stats[:, 0] = mean
-    stats[:, 1] = rows.max(axis=0)
-    stats[:, 2] = rows.min(axis=0)
-    stats[:, 3] = np.sqrt(((rows - mean) ** 2).sum(axis=0) / n)
-    out[1:] = stats.reshape(-1)
+    head = rows[:distinct[-1]]
+    ends = distinct - 1
+    stats = np.empty((distinct.size, len(PATH_BASE_FEATURES), 4))
+    # A running sum in row order adds what ``rows[:n].sum(axis=0)`` adds,
+    # except that the reduction starts from +0.0; adding 0.0 turns the one
+    # possible difference, an all -0.0 prefix, into that +0.0.
+    means = (np.cumsum(head, axis=0)[ends] + 0.0) / distinct[:, None]
+    stats[:, :, 0] = means
+    stats[:, :, 1] = np.maximum.accumulate(head, axis=0)[ends]
+    stats[:, :, 2] = np.minimum.accumulate(head, axis=0)[ends]
+    # Std takes the two passes of ``rows[:n]`` for each size n, a group of
+    # sizes at a time.  Squares of rows past n are masked to +0.0, which
+    # leaves each sum unchanged.  A group holds at most _STD_BLOCK_ROWS rows
+    # of squares (one size's rows if that is more).
+    step = max(1, _STD_BLOCK_ROWS // head.shape[0])
+    for lo in range(0, distinct.size, step):
+        ns = distinct[lo:lo + step]
+        dev = (head[:ns[-1]] - means[lo:lo + step, None, :]) ** 2
+        dev[np.arange(ns[-1]) >= ns[:, None]] = 0.0
+        stats[lo:lo + step, :, 3] = np.sqrt(dev.sum(axis=1) / ns[:, None])
+    filled = sizes > 0
+    out[filled, 0] = sizes[filled]
+    out[filled, 1:] = stats.reshape(distinct.size, -1)[np.searchsorted(distinct, sizes[filled])]
     return out
 
 
@@ -292,21 +319,20 @@ class FeatureTimeline:
 
 
 class _SetTracker:
-    """Per-(address, set) store of path feature rows and their aggregate.
+    """Per-(address, set) path feature rows, in the order the paths arrived.
 
-    Rows are only ever appended, into a buffer that doubles when full, so the
-    aggregate is kept with the row count it was computed from and recomputed
-    only after new rows arrive.
+    Rows are only ever appended, into a buffer that doubles when full.
     """
 
-    __slots__ = ("truncated", "_buf", "_n", "_aggregate", "_aggregate_rows")
+    __slots__ = ("truncated", "_buf", "_n")
 
     def __init__(self):
         self.truncated = False
         self._buf = np.empty((16, len(PATH_BASE_FEATURES)), dtype=np.float64)
         self._n = 0
-        self._aggregate = None
-        self._aggregate_rows = -1
+
+    def __len__(self) -> int:
+        return self._n
 
     @property
     def rows(self) -> np.ndarray:
@@ -321,12 +347,6 @@ class _SetTracker:
             self._buf[self._n] = path_feature_row(store, p)
             self._n += 1
 
-    def aggregate(self) -> np.ndarray:
-        if self._aggregate_rows != self._n:
-            self._aggregate = aggregate_path_set(self.rows)
-            self._aggregate_rows = self._n
-        return self._aggregate
-
 
 def feature_timeline(store: TxStore, address: str, hours: int = 24,
                      params: PathParams | None = None,
@@ -336,7 +356,10 @@ def feature_timeline(store: TxStore, address: str, hours: int = 24,
     Row ``t`` (1-based) uses only transactions stamped at or before
     ``creation + t`` hours.  Backward path sets are built once per newly
     visible receive anchor; forward sets are extended incrementally as new
-    transactions become visible.
+    transactions become visible.  Path work runs only in the hours where an
+    anchor or a forward hop becomes visible: forward traces wait in a heap
+    keyed by their next hidden hop.  Each set's row count is recorded per
+    hour, and one aggregate call per set gives all 24 rows of its block.
     """
     params = params or PathParams()
     events = _AddressEvents.collect(store, address)
@@ -344,44 +367,57 @@ def feature_timeline(store: TxStore, address: str, hours: int = 24,
     if label is None:
         label = store.labels.get(address)
 
-    trackers = {name: _SetTracker() for name in PATH_SET_NAMES}
-    fr_traces: dict[str, list[ForwardTrace]] = {"lt_fr": [], "st_fr": []}
-    seen_recv = 0
-    seen_spend = 0
+    trackers = [_SetTracker() for _ in PATH_SET_NAMES]
+    lt_bk, st_bk, lt_fr, st_fr = trackers
+    # (next hidden hop time, set position, creation order, trace); the first
+    # three are unique, so traces are never compared.
+    due: list = []
     recv_ids = store.receive_txs(address)
     spend_ids = store.spend_txs(address)
-
     cutoffs = _cutoffs(creation, hours)
+    # Anchor ids are in timestamp order, as are the event times.
+    n_recv = np.searchsorted(events.recv_t, cutoffs, side="right").tolist()
+    n_spend = np.searchsorted(events.spend_t, cutoffs, side="right").tolist()
+    seen_recv = seen_spend = 0
+    sizes = np.zeros((len(trackers), hours), dtype=np.intp)
+    for t, cutoff in enumerate(cutoffs.tolist()):
+        if (seen_recv == n_recv[t] and seen_spend == n_spend[t]
+                and not (due and due[0][0] <= cutoff)):
+            continue
+        # New backward anchors: full historical trace, visible immediately.
+        for anchor in recv_ids[seen_recv:n_recv[t]]:
+            for horizon, tracker in (("LT", lt_bk), ("ST", st_bk)):
+                ps = backward_paths(store, anchor, params.config(horizon, "BK"))
+                tracker.add(store, ps.paths)
+                tracker.truncated |= ps.truncated
+        seen_recv = n_recv[t]
+        # Existing traces whose next hop is now visible extend, lt_fr before
+        # st_fr and each in creation order; the rest would add nothing.
+        ready = []
+        while due and due[0][0] <= cutoff:
+            ready.append(heapq.heappop(due))
+        ready.sort(key=lambda item: item[1:3])
+        # New forward anchors start a trace; their paths come first.
+        for anchor in spend_ids[seen_spend:n_spend[t]]:
+            for k, horizon, tracker in ((2, "LT", lt_fr), (3, "ST", st_fr)):
+                trace = ForwardTrace.build(store, anchor, params.config(horizon, "FR"), cutoff)
+                tracker.add(store, trace.paths)
+                tracker.truncated |= trace.truncated
+                if trace.next_hop != math.inf:
+                    heapq.heappush(due, (trace.next_hop, k, seen_spend, trace))
+            seen_spend += 1
+        for _, k, order, trace in ready:
+            trackers[k].add(store, trace.extend(store, cutoff))
+            trackers[k].truncated |= trace.truncated
+            if trace.next_hop != math.inf:
+                heapq.heappush(due, (trace.next_hop, k, order, trace))
+        sizes[:, t:] = np.array([len(tracker) for tracker in trackers])[:, None]
+
     matrix = np.zeros((hours, len(FULL_SCHEMA)), dtype=np.float64)
     matrix[:, :len(ADDRESS_FEATURES)] = address_features(events, cutoffs)
-    for t, cutoff in enumerate(cutoffs.tolist()):
-        # New backward anchors: full historical trace, visible immediately.
-        while seen_recv < len(recv_ids) and store.tx(recv_ids[seen_recv]).timestamp <= cutoff:
-            anchor = recv_ids[seen_recv]
-            for horizon, set_name in (("LT", "lt_bk"), ("ST", "st_bk")):
-                ps = backward_paths(store, anchor, params.config(horizon, "BK"))
-                trackers[set_name].add(store, ps.paths)
-                trackers[set_name].truncated |= ps.truncated
-            seen_recv += 1
-        # New forward anchors start a trace; existing traces extend.
-        while seen_spend < len(spend_ids) and store.tx(spend_ids[seen_spend]).timestamp <= cutoff:
-            anchor = spend_ids[seen_spend]
-            for horizon, set_name in (("LT", "lt_fr"), ("ST", "st_fr")):
-                trace = ForwardTrace.build(store, anchor, params.config(horizon, "FR"), cutoff)
-                fr_traces[set_name].append(trace)
-                trackers[set_name].add(store, trace.paths)
-                trackers[set_name].truncated |= trace.truncated
-            seen_spend += 1
-        for set_name, traces in fr_traces.items():
-            for trace in traces:
-                added = trace.extend(store, cutoff)
-                trackers[set_name].add(store, added)
-                trackers[set_name].truncated |= trace.truncated
-
-        for set_name, (lo, hi) in zip(PATH_SET_NAMES, _SET_BLOCKS):
-            matrix[t, lo:hi] = trackers[set_name].aggregate()
-
-    truncated = any(tr.truncated for tr in trackers.values())
+    for tracker, row_counts, (lo, hi) in zip(trackers, sizes, _SET_BLOCKS):
+        matrix[:, lo:hi] = aggregate_path_set(tracker.rows, row_counts)
+    truncated = any(tr.truncated for tr in trackers)
     return FeatureTimeline(address, label, creation, matrix, truncated)
 
 
@@ -415,9 +451,10 @@ def feature_timeline_rebuilt(store: TxStore, address: str, hours: int = 24,
 # -- feature file I/O -------------------------------------------------------
 
 
-def write_feature_csv(path, timelines: list[FeatureTimeline]) -> None:
+def write_feature_csv(path, timelines: Iterable[FeatureTimeline]) -> None:
     """Write the feature file through a temporary file and ``os.replace``, so
-    a failed write leaves any earlier file untouched."""
+    a failed write leaves any earlier file untouched.  ``timelines`` is
+    iterated once, so a generator streams through with one timeline held."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:

@@ -264,6 +264,11 @@ class ForwardTrace:
         trace.extend(store, t_now)
         return trace
 
+    @property
+    def next_hop(self) -> float:
+        """The earliest time at which ``extend`` can add a path (``inf``: never)."""
+        return self._next_hop
+
     def extend(self, store: TxStore, t_now: int) -> list[AssetTransferPath]:
         if t_now < self.t_seen:
             raise DataError("observation time may not move backwards")

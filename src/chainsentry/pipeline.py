@@ -8,9 +8,11 @@ produce byte-identical artifacts.
 """
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -336,57 +338,100 @@ def _feature_worker_init(tx_path, labels_path, hours, params):
     _WORKER_STATE["params"] = params
 
 
-def _feature_worker(address: str) -> FeatureTimeline:
-    return feature_timeline(_WORKER_STATE["store"], address,
-                            _WORKER_STATE["hours"], _WORKER_STATE["params"])
+def _feature_worker(batch: list[str]) -> list[FeatureTimeline]:
+    return [feature_timeline(_WORKER_STATE["store"], address,
+                             _WORKER_STATE["hours"], _WORKER_STATE["params"])
+            for address in batch]
+
+
+def iter_timelines(store: TxStore, addresses: list[str], hours: int,
+                   params: PathParams, jobs: int = 1,
+                   tx_path=None, labels_path=None) -> Iterator[FeatureTimeline]:
+    """Per-address feature timelines, optionally built across worker
+    processes, yielded one at a time in input order whatever the worker count.
+
+    With a fork start method the workers inherit the already-built store
+    copy-on-write; otherwise they re-open the transaction file.  The pool
+    lives as long as the generator: an error in a worker, or closing the
+    generator, ends it.
+    """
+    if jobs <= 1:
+        for address in addresses:
+            yield feature_timeline(store, address, hours, params)
+        return
+    import multiprocessing as mp
+
+    chunk = max(1, len(addresses) // (jobs * 4))
+    try:
+        if "fork" in mp.get_all_start_methods():
+            _WORKER_STATE.update(store=store, hours=hours, params=params)
+            pool = mp.get_context("fork").Pool(jobs)
+        elif tx_path is None:
+            raise DataError("parallel timeline building requires file paths")
+        else:
+            pool = mp.get_context().Pool(jobs, initializer=_feature_worker_init,
+                                         initargs=(tx_path, labels_path, hours, params))
+        batches = [addresses[i:i + chunk] for i in range(0, len(addresses), chunk)]
+        with pool:
+            # Each timeline leaves its batch as it is yielded, so the caller
+            # alone decides how long it stays alive.
+            for timelines in pool.imap(_feature_worker, batches):
+                timelines.reverse()
+                while timelines:
+                    yield timelines.pop()
+    finally:
+        _WORKER_STATE.clear()
 
 
 def build_timelines(store: TxStore, addresses: list[str], hours: int,
                     params: PathParams, jobs: int = 1,
                     tx_path=None, labels_path=None) -> list[FeatureTimeline]:
-    """Per-address feature timelines, optionally across worker processes.
+    """Every timeline of :func:`iter_timelines`, as a list."""
+    return list(iter_timelines(store, addresses, hours, params, jobs,
+                               tx_path, labels_path))
 
-    With a fork start method the workers inherit the already-built store
-    copy-on-write; otherwise they re-open the transaction file.  Results
-    come back in input order regardless of worker count.
+
+def stage_features(config: PipelineConfig, out_dir: Path, jobs: int = 1) -> dict:
+    """Stream every labelled address's timeline into ``features.csv``.
+
+    A labelled address with no transactions is skipped.  The report lists
+    the skipped addresses with their reason and the addresses whose path
+    sets hit ``max_paths_per_set``.
     """
-    if jobs <= 1:
-        return [feature_timeline(store, a, hours, params) for a in addresses]
-    import multiprocessing as mp
-
-    chunk = max(1, len(addresses) // (jobs * 4))
-    if "fork" in mp.get_all_start_methods():
-        ctx = mp.get_context("fork")
-        _WORKER_STATE.update(store=store, hours=hours, params=params)
-        try:
-            with ctx.Pool(jobs) as pool:
-                return pool.map(_feature_worker, addresses, chunksize=chunk)
-        finally:
-            _WORKER_STATE.clear()
-    if tx_path is None:
-        raise DataError("parallel timeline building requires file paths")
-    with mp.get_context().Pool(jobs, initializer=_feature_worker_init,
-                               initargs=(tx_path, labels_path, hours, params)) as pool:
-        return pool.map(_feature_worker, addresses, chunksize=chunk)
-
-
-def stage_features(config: PipelineConfig, out_dir: Path, jobs: int = 1) -> None:
     store = load_store(config, out_dir)
     if not store.labels:
         raise DataError("no labeled addresses to featurize")
-    addresses = sorted(store.labels)
-    timelines = build_timelines(
-        store, addresses, config.hours, config.paths.params(), jobs,
-        tx_path=out_dir / config.data.transactions,
-        labels_path=out_dir / config.data.labels,
-    )
+    addresses, skipped = [], []
+    for address in sorted(store.labels):
+        if store.receive_txs(address) or store.spend_txs(address):
+            addresses.append(address)
+        else:
+            skipped.append({"address": address, "reason": "no transactions"})
+    if not addresses:
+        raise DataError(f"none of the {len(skipped)} labeled addresses has a transaction")
+    truncated = []
+
+    def timelines():
+        for tl in iter_timelines(store, addresses, config.hours, config.paths.params(), jobs,
+                                 tx_path=out_dir / config.data.transactions,
+                                 labels_path=out_dir / config.data.labels):
+            if tl.truncated:
+                truncated.append(tl.address)
+            yield tl
+
     features_dir = out_dir / "features"
     features_dir.mkdir(parents=True, exist_ok=True)
-    write_feature_csv(features_dir / "features.csv", timelines)
+    # Closed at once if the write fails, so no worker outlives the stage.
+    with contextlib.closing(timelines()) as stream:
+        write_feature_csv(features_dir / "features.csv", stream)
     write_schema_json(features_dir / "schema.json")
+    report = {"featurized": len(addresses), "skipped": skipped, "truncated": truncated}
+    report_path = features_dir / "features_report.json"
+    report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     record_stage(out_dir, "features",
                  [out_dir / config.data.transactions, out_dir / config.data.labels],
-                 [features_dir / "features.csv", features_dir / "schema.json"])
+                 [features_dir / "features.csv", features_dir / "schema.json", report_path])
+    return report
 
 
 def _load_timelines(out_dir: Path, addresses=None) -> list[FeatureTimeline]:

@@ -142,6 +142,75 @@ def naive_aggregate(rows):
     return np.array(out)
 
 
+def reference_aggregate(rows):
+    """One path set's 49 values as numpy's own sum, max, min and two-pass
+    population std give them; the library's prefix aggregate must match it
+    to the bit."""
+    out = np.zeros(1 + 4 * 12)
+    n = rows.shape[0]
+    if n == 0:
+        return out
+    mean = rows.sum(axis=0) / n
+    stats = np.empty((12, 4))
+    stats[:, 0] = mean
+    stats[:, 1] = rows.max(axis=0)
+    stats[:, 2] = rows.min(axis=0)
+    stats[:, 3] = np.sqrt(((rows - mean) ** 2).sum(axis=0) / n)
+    out[0] = n
+    out[1:] = stats.reshape(-1)
+    return out
+
+
+def reference_feature_timeline(store, address, hours=24, params=None):
+    """The hourly feature matrix by the plain loop: every hour, take in the
+    newly visible anchors, extend every forward trace and aggregate every
+    set from its rows so far.
+
+    The library skips the hours in which nothing becomes visible, extends
+    only the traces whose next hop is due and aggregates each set once; its
+    rows must arrive in the same order as here.  Path building, path rows
+    and address features are the library's own.
+    """
+    from chainsentry.features import (FULL_SCHEMA, PATH_SET_NAMES, _AddressEvents,
+                                      address_features, path_feature_row)
+    from chainsentry.paths import ForwardTrace, PathParams, backward_paths
+
+    params = params or PathParams()
+    events = _AddressEvents.collect(store, address)
+    cutoffs = [events.creation + HOUR * t for t in range(1, hours + 1)]
+    rows = {name: [] for name in PATH_SET_NAMES}
+    truncated = {name: False for name in PATH_SET_NAMES}
+    traces = {"lt_fr": [], "st_fr": []}
+    recv_ids, spend_ids = store.receive_txs(address), store.spend_txs(address)
+    seen_recv = seen_spend = 0
+    matrix = np.zeros((hours, len(FULL_SCHEMA)))
+    matrix[:, :16] = address_features(events, np.array(cutoffs))
+    for t, cutoff in enumerate(cutoffs):
+        while seen_recv < len(recv_ids) and store.tx(recv_ids[seen_recv]).timestamp <= cutoff:
+            for horizon, name in (("LT", "lt_bk"), ("ST", "st_bk")):
+                ps = backward_paths(store, recv_ids[seen_recv], params.config(horizon, "BK"))
+                rows[name] += [path_feature_row(store, p) for p in ps.paths]
+                truncated[name] |= ps.truncated
+            seen_recv += 1
+        while seen_spend < len(spend_ids) and store.tx(spend_ids[seen_spend]).timestamp <= cutoff:
+            for horizon, name in (("LT", "lt_fr"), ("ST", "st_fr")):
+                trace = ForwardTrace.build(store, spend_ids[seen_spend],
+                                           params.config(horizon, "FR"), cutoff)
+                traces[name].append(trace)
+                rows[name] += [path_feature_row(store, p) for p in trace.paths]
+                truncated[name] |= trace.truncated
+            seen_spend += 1
+        for name, fr in traces.items():
+            for trace in fr:
+                rows[name] += [path_feature_row(store, p) for p in trace.extend(store, cutoff)]
+                truncated[name] |= trace.truncated
+        for k, name in enumerate(PATH_SET_NAMES):
+            lo = 16 + 49 * k
+            matrix[t, lo:lo + 49] = reference_aggregate(
+                np.array(rows[name], dtype=np.float64).reshape(-1, 12))
+    return matrix, any(truncated.values())
+
+
 class NaiveBooster:
     """Line-for-line second-order logistic boosting with plain loops."""
 
@@ -525,14 +594,16 @@ def reference_indexes(records):
     }
 
 
-def random_dag_records(rng, n_tx_max=50):
-    """A random ancestry DAG of transactions for path-oracle checks."""
+def random_dag_records(rng, n_tx_max=50, days=6, owned=False):
+    """A random ancestry DAG of transactions for path-oracle checks, stamped
+    over ``days``.  With ``owned``, every input names the first output address
+    of the transaction it spends as its owner, so addresses spend too."""
     from chainsentry.chain import TransactionRecord, TxInput, TxOutput
 
     n = int(rng.integers(2, n_tx_max + 1))
     base = 1_500_000_000
     records = []
-    times = np.sort(rng.integers(0, 6 * 86400, size=n))
+    times = np.sort(rng.integers(0, days * 86400, size=n))
     for i in range(n):
         tx_id = f"d{i:04d}"
         n_parents = int(rng.integers(0, min(i, 4) + 1)) if i else 0
@@ -541,7 +612,7 @@ def random_dag_records(rng, n_tx_max=50):
             parents = rng.choice(i, size=n_parents, replace=False)
             for p in parents:
                 amount = int(rng.integers(0, 1000))
-                inputs.append(TxInput(f"d{p:04d}", amount))
+                inputs.append(TxInput(f"d{p:04d}", amount, f"a{p}_0" if owned else None))
         outputs = [TxOutput(f"a{i}_{k}", int(rng.integers(0, 800)))
                    for k in range(int(rng.integers(1, 4)))]
         records.append(TransactionRecord(tx_id, int(base + times[i]),

@@ -9,11 +9,12 @@ from chainsentry.features import (ADDRESS_FEATURES, FULL_SCHEMA, PATH_SET_NAMES,
                                   aggregate_path_set, feature_timeline,
                                   feature_timeline_rebuilt, path_features,
                                   read_feature_csv, write_feature_csv)
-from chainsentry.paths import PathConfig, backward_paths
+from chainsentry.paths import ForwardTrace, PathConfig, PathParams, backward_paths
 from chainsentry.serialize import fmt_float
 from chainsentry.synth import ScenarioSpec, generate
 from conftest import HOUR, T0, tx
-from oracles import naive_aggregate, reference_address_features
+from oracles import (naive_aggregate, random_dag_records, reference_address_features,
+                     reference_aggregate, reference_feature_timeline)
 
 DAY = 86400
 
@@ -264,40 +265,137 @@ def test_feature_csv_roundtrip(tmp_path, case_study_store):
     assert np.array_equal(back[0].matrix, tl.matrix)
 
 
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
 def test_set_tracker_aggregate_follows_interleaved_adds(chain_store):
     ps = backward_paths(chain_store, "dep", PathConfig("BK", "ST", 0.01, 7 * DAY))
     assert len(ps.paths) >= 2
     tracker = _SetTracker()
-    empty = tracker.aggregate()
-    assert empty.shape == (49,) and not empty.any()
+    sizes = [len(tracker)]
     for batch in ([ps.paths[0]], [], ps.paths, [], [ps.paths[-1]]):
         tracker.add(chain_store, batch)
-        want = aggregate_path_set(np.vstack(tracker.rows))
-        assert np.array_equal(tracker.aggregate(), want)
-        assert np.array_equal(tracker.aggregate(), want)  # from the cache
+        sizes.append(len(tracker))
+    assert sizes == [0, 1, 1, 1 + len(ps.paths), 1 + len(ps.paths), 2 + len(ps.paths)]
+    rows = tracker.rows
+    want = path_features(chain_store, [ps.paths[0], *ps.paths, ps.paths[-1]])[0]
+    assert np.array_equal(rows, want)
+    got = aggregate_path_set(rows, sizes)
+    assert got.shape == (len(sizes), 49) and not got[0].any()
+    for n, vec in zip(sizes, got):
+        assert np.array_equal(_bits(vec), _bits(reference_aggregate(rows[:n])))
+
+
+@pytest.mark.parametrize("block_rows", [2048, 7])
+def test_aggregate_prefixes_match_per_prefix_reference(rng, monkeypatch, block_rows):
+    # Values with many ties, both signed zeros and magnitudes far apart; the
+    # sizes repeat, include 0 and the full set, and come in any order.  A
+    # small block splits the std pass into many groups of sizes.
+    monkeypatch.setattr(features, "_STD_BLOCK_ROWS", block_rows)
+    pool = np.array([0.0, -0.0, 1.0, 0.1, 0.2, 0.3, 1e16, -3.5, 7 / 3, 5e-324, 2.0**53])
+    for case in range(120):
+        n = int(rng.integers(0, 60))
+        rows = rng.choice(pool, size=(n, 12))
+        if case % 3 == 0:
+            rows += rng.normal(size=(n, 12)) * rng.choice([0.0, 1e-3, 1e8], size=(n, 12))
+        if case % 5 == 0:
+            rows[:, :4] = -0.0
+        sizes = rng.integers(0, n + 1, size=int(rng.integers(1, 30)))
+        sizes = np.concatenate([sizes, [0, n, n]])
+        got = aggregate_path_set(rows, sizes)
+        assert got.shape == (sizes.size, 49)
+        for size, vec in zip(sizes.tolist(), got):
+            assert np.array_equal(_bits(vec), _bits(reference_aggregate(rows[:size]))), (case, size)
+        assert np.array_equal(_bits(aggregate_path_set(rows)), _bits(reference_aggregate(rows)))
+
+
+def _dag_addresses(store, rng, k):
+    active = sorted(store.addresses())  # every address that receives
+    picks = rng.choice(len(active), size=min(k, len(active)), replace=False)
+    return [active[i] for i in sorted(picks)]
+
+
+@pytest.mark.parametrize("cap", [10_000, 1, 2, 3])
+def test_timeline_matches_hourly_reference_on_random_dags(rng, cap):
+    # The per-hour loop that extends every trace and aggregates every hour is
+    # the reference, also under a cap where a fresh rebuild differs.
+    for case in range(40):
+        store = TxStore.from_records(random_dag_records(rng, n_tx_max=40, days=2, owned=True))
+        span = float(rng.choice([0.1, 0.5, 2.0]) * DAY)
+        params = PathParams(lt_threshold=0.3, lt_span=3 * span, st_threshold=0.01,
+                            st_span=span, max_paths_per_set=cap)
+        for address in _dag_addresses(store, rng, 4):
+            tl = feature_timeline(store, address, 48, params)
+            want, truncated = reference_feature_timeline(store, address, 48, params)
+            assert np.array_equal(_bits(tl.matrix), _bits(want)), (case, address)
+            assert tl.truncated == truncated, (case, address)
+
+
+def test_timeline_matches_hourly_reference_on_case_study(case_study_store):
+    for address in ("hack", "dest", "far"):
+        for params in (PathParams(), PathParams(max_paths_per_set=3)):
+            tl = feature_timeline(case_study_store, address, params=params)
+            want, truncated = reference_feature_timeline(case_study_store, address,
+                                                         params=params)
+            assert np.array_equal(_bits(tl.matrix), _bits(want)), address
+            assert tl.truncated == truncated, address
+
+
+def _seed13_universe(specs=(("hack", 2), ("exchange", 3), ("gambling", 2))):
+    records, labels, _ = generate([ScenarioSpec(kind, count) for kind, count in specs],
+                                  seed=13, noise_level=0.3)
+    return TxStore.from_records(records, labels), labels
 
 
 def test_timeline_aggregates_each_set_once_per_change(monkeypatch):
-    records, labels, _ = generate(
-        [ScenarioSpec("hack", 2), ScenarioSpec("exchange", 3),
-         ScenarioSpec("gambling", 2)], seed=13, noise_level=0.3)
-    store = TxStore.from_records(records, labels)
+    store, labels = _seed13_universe()
     calls = []
 
-    def counted(rows):
-        calls.append(rows)
-        return aggregate_path_set(rows)
+    def counted(rows, sizes=None):
+        calls.append((rows.shape[0], None if sizes is None else np.asarray(sizes)))
+        return aggregate_path_set(rows, sizes)
 
     monkeypatch.setattr(features, "aggregate_path_set", counted)
     count_cols = [FULL_SCHEMA.index(f"{name}__path_count") for name in PATH_SET_NAMES]
     for address in sorted(labels):
         calls.clear()
         tl = feature_timeline(store, address)
-        # A set's path count changes exactly in the hours it gained rows; an
-        # empty set shows one more distinct count (zero).
-        bound = sum(np.unique(tl.matrix[:, col]).size for col in count_cols)
-        assert len(calls) <= bound, address
-        assert len(calls) < tl.hours * len(PATH_SET_NAMES), address
+        # One call per set covers all hours; its row counts are the set's
+        # path count per hour, so each change is one distinct size.
+        assert len(calls) == len(PATH_SET_NAMES), address
+        for (n_rows, sizes), col in zip(calls, count_cols):
+            assert sizes.shape == (tl.hours,) and n_rows == sizes[-1], address
+            assert np.array_equal(sizes, tl.matrix[:, col]), address
+
+
+def test_forward_extends_outside_build_all_add_paths(monkeypatch):
+    # Traces extend only in hours where a hidden hop is due, so apart from
+    # the extend inside ``ForwardTrace.build`` every call adds paths.
+    store, labels = _seed13_universe((("hack", 3), ("ransomware", 3), ("darknet", 3),
+                                      ("exchange", 4), ("merchant", 4), ("gambling", 3),
+                                      ("mining", 3)))
+    extend, build = ForwardTrace.extend, ForwardTrace.build.__func__
+    in_build, added = [False], []
+
+    def watched_build(cls, *args):
+        in_build[0] = True
+        try:
+            return build(cls, *args)
+        finally:
+            in_build[0] = False
+
+    def watched_extend(self, store, t_now):
+        out = extend(self, store, t_now)
+        if not in_build[0]:
+            added.append(len(out))
+        return out
+
+    monkeypatch.setattr(ForwardTrace, "build", classmethod(watched_build))
+    monkeypatch.setattr(ForwardTrace, "extend", watched_extend)
+    for address in sorted(labels):
+        feature_timeline(store, address)
+    assert added and min(added) > 0
 
 
 def test_feature_csv_writer_matches_per_cell_format(tmp_path):

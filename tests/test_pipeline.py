@@ -1,11 +1,15 @@
 import hashlib
 import json
+import multiprocessing
+import weakref
 
 import numpy as np
 import pytest
 
+from chainsentry import pipeline
+from chainsentry.chain import load_labels
 from chainsentry.errors import ConfigError, DataError, NotFoundError
-from chainsentry.pipeline import (PipelineConfig, SequenceContext, load_config,
+from chainsentry.pipeline import (STAGES, PipelineConfig, SequenceContext, load_config,
                                   read_predictions, run_pipeline,
                                   stage_features, stage_ingest, stage_paths,
                                   stage_predict, stage_select, stage_segment,
@@ -170,3 +174,86 @@ def test_parallel_features_match_serial(tmp_path):
     stage_features(cfg, tmp_path, jobs=2)
     parallel = (tmp_path / "features" / "features.csv").read_bytes()
     assert serial == parallel
+
+
+def _synth_small(out):
+    cfg = load_config(SMALL)
+    stage_synth(cfg, out)
+    return cfg
+
+
+def test_ghost_address_is_skipped_through_eval(tmp_path):
+    cfg = _synth_small(tmp_path)
+    n_real = len(load_labels(tmp_path / "labels.csv"))
+    with open(tmp_path / "labels.csv", "a", encoding="utf-8") as fh:
+        fh.write("ghost_addr,1\n")
+    run_pipeline(cfg, tmp_path, stages=STAGES[1:])
+    report = json.loads((tmp_path / "features" / "features_report.json").read_text())
+    assert report["featurized"] == n_real
+    assert report["skipped"] == [{"address": "ghost_addr", "reason": "no transactions"}]
+    assert report["truncated"] == []
+    addresses, p, _, _ = read_predictions(tmp_path / "predictions.csv")
+    assert len(addresses) == n_real and "ghost_addr" not in addresses
+    assert json.loads((tmp_path / "eval_report.json").read_text())["all"]["f1_early"] >= 0.0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert "features_report.json" in manifest["features"]["outputs"]
+
+
+def test_features_fail_only_when_no_address_is_left(tmp_path):
+    cfg = _synth_small(tmp_path)
+    stage_features(cfg, tmp_path)
+    path = tmp_path / "features" / "features.csv"
+    old = path.read_bytes()
+    (tmp_path / "labels.csv").write_text("address,label\nghost_a,1\nghost_b,0\n")
+    with pytest.raises(DataError, match="none of the 2 labeled addresses"):
+        stage_features(cfg, tmp_path)
+    assert path.read_bytes() == old
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_failure_mid_stream_keeps_the_old_features(tmp_path, monkeypatch, jobs):
+    cfg = _synth_small(tmp_path)
+    stage_features(cfg, tmp_path)
+    features_dir = tmp_path / "features"
+    old = (features_dir / "features.csv").read_bytes()
+    files = sorted(p.name for p in features_dir.iterdir())
+    third = sorted(load_labels(tmp_path / "labels.csv"))[2]
+    real = pipeline.feature_timeline
+
+    def failing(store, address, *args):
+        if address == third:
+            raise RuntimeError(f"timeline of {address} failed")
+        return real(store, address, *args)
+
+    monkeypatch.setattr(pipeline, "feature_timeline", failing)
+    with pytest.raises(RuntimeError, match=f"timeline of {third} failed"):
+        stage_features(cfg, tmp_path, jobs=jobs)
+    assert (features_dir / "features.csv").read_bytes() == old
+    assert sorted(p.name for p in features_dir.iterdir()) == files
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_features_stage_holds_at_most_two_timelines(tmp_path, monkeypatch, jobs):
+    cfg = _synth_small(tmp_path)
+    n = len(load_labels(tmp_path / "labels.csv"))
+    alive, peak, seen = [0], [0], [0]
+    real_write = pipeline.write_feature_csv
+
+    def released():
+        alive[0] -= 1
+
+    def watched(path, timelines):
+        def stream():
+            for tl in timelines:
+                alive[0] += 1
+                seen[0] += 1
+                peak[0] = max(peak[0], alive[0])
+                weakref.finalize(tl.matrix, released)
+                yield tl
+        real_write(path, stream())
+
+    monkeypatch.setattr(pipeline, "write_feature_csv", watched)
+    stage_features(cfg, tmp_path, jobs=jobs)
+    assert seen[0] == n and peak[0] <= 2
+    assert multiprocessing.active_children() == []
