@@ -15,12 +15,12 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.cluster.hierarchy import fcluster, linkage
 
 from .base import ParamsMixin, as_float_matrix
 from .errors import DataError, NotFittedError
 from .serialize import fmt_float, fmt_floats
 from .tree import DecisionTreeClassifier, _Node
+from .ward import linkage, maxclust
 
 
 # Cluster counts that worked best per behavior family in tuning; any of the
@@ -77,8 +77,8 @@ class VectorCatalog(ParamsMixin):
             raw_labels = np.zeros(1, dtype=np.int64)
             self.merges_ = np.zeros((0, 4))
         else:
-            Z = linkage(Vfit, method="ward")
-            raw_labels = fcluster(Z, t=self.n_clusters, criterion="maxclust") - 1
+            Z = linkage(Vfit)
+            raw_labels = maxclust(Z, self.n_clusters)
             self.merges_ = Z
         n_found = np.unique(raw_labels).size
         if n_found != self.n_clusters:

@@ -351,35 +351,39 @@ def iter_timelines(store: TxStore, addresses: list[str], hours: int,
     processes, yielded one at a time in input order whatever the worker count.
 
     With a fork start method the workers inherit the already-built store
-    copy-on-write; otherwise they re-open the transaction file.  The pool
-    lives as long as the generator: an error in a worker, or closing the
-    generator, ends it.
+    copy-on-write; otherwise they re-open the transaction file.  The workers
+    live as long as the generator: an error in a worker, or closing the
+    generator, cancels the batches not yet started and waits for the running
+    ones, so no worker is killed while it holds the result queue.
     """
     if jobs <= 1:
         for address in addresses:
             yield feature_timeline(store, address, hours, params)
         return
     import multiprocessing as mp
+    from concurrent.futures import ProcessPoolExecutor
 
     chunk = max(1, len(addresses) // (jobs * 4))
+    executor = None
     try:
         if "fork" in mp.get_all_start_methods():
             _WORKER_STATE.update(store=store, hours=hours, params=params)
-            pool = mp.get_context("fork").Pool(jobs)
+            executor = ProcessPoolExecutor(jobs, mp_context=mp.get_context("fork"))
         elif tx_path is None:
             raise DataError("parallel timeline building requires file paths")
         else:
-            pool = mp.get_context().Pool(jobs, initializer=_feature_worker_init,
-                                         initargs=(tx_path, labels_path, hours, params))
+            executor = ProcessPoolExecutor(jobs, initializer=_feature_worker_init,
+                                           initargs=(tx_path, labels_path, hours, params))
         batches = [addresses[i:i + chunk] for i in range(0, len(addresses), chunk)]
-        with pool:
-            # Each timeline leaves its batch as it is yielded, so the caller
-            # alone decides how long it stays alive.
-            for timelines in pool.imap(_feature_worker, batches):
-                timelines.reverse()
-                while timelines:
-                    yield timelines.pop()
+        # Each timeline leaves its batch as it is yielded, so the caller
+        # alone decides how long it stays alive.
+        for timelines in executor.map(_feature_worker, batches):
+            timelines.reverse()
+            while timelines:
+                yield timelines.pop()
     finally:
+        if executor is not None:
+            executor.shutdown(wait=True, cancel_futures=True)
         _WORKER_STATE.clear()
 
 

@@ -87,7 +87,10 @@ def grow(X, weight, criterion, features, max_depth, min_samples_leaf) -> list[_N
             pos = int(np.argmax(gain))
             if gain[pos] > best + criterion.margin:
                 best = float(gain[pos])
-                split = (int(f), float((v[pos] + v[pos + 1]) / 2.0))
+                mid = float((v[pos] + v[pos + 1]) / 2.0)
+                # Between adjacent doubles the midpoint rounds up to v[pos + 1],
+                # and the cut would send every row left.
+                split = (int(f), mid if v[pos] <= mid < v[pos + 1] else float(v[pos]))
         if split is None:
             continue
         node.feature, node.threshold = split

@@ -242,6 +242,8 @@ class NaiveBooster:
             values = sorted(set(X[i, f] for i in idx))
             for a, b in zip(values[:-1], values[1:]):
                 thr = (a + b) / 2.0
+                if not a <= thr < b:
+                    thr = a
                 left = [i for i in idx if X[i, f] <= thr]
                 right = [i for i in idx if X[i, f] > thr]
                 nl = sum(counts[i] for i in left)
@@ -381,7 +383,8 @@ def reference_cart(X, y, max_depth, min_samples_leaf, random_state):
             pos = int(np.argmax(gain))
             if gain[pos] > best_gain + 1e-15:
                 best_gain = float(gain[pos])
-                best = (int(f), float((v[pos] + v[pos + 1]) / 2.0))
+                thr = float((v[pos] + v[pos + 1]) / 2.0)
+                best = (int(f), thr if v[pos] <= thr < v[pos + 1] else float(v[pos]))
         if best is None:
             continue
         node.feature, node.threshold = best
@@ -431,7 +434,8 @@ def reference_newton_tree(X, g, h, counts, max_depth, min_samples_leaf,
             pos = int(np.argmax(gain))
             if gain[pos] > best_gain:
                 best_gain = float(gain[pos])
-                best = (f, float((v[pos] + v[pos + 1]) / 2.0))
+                thr = float((v[pos] + v[pos + 1]) / 2.0)
+                best = (f, thr if v[pos] <= thr < v[pos + 1] else float(v[pos]))
         if best is None:
             continue
         node.feature, node.threshold = best

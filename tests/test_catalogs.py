@@ -1,6 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+# scipy is the oracle for the in-tree Ward linkage; the package does not use it.
+from scipy.cluster.hierarchy import fcluster, linkage as scipy_linkage
+from scipy.spatial.distance import pdist as scipy_pdist
 
+from chainsentry import ward
 from chainsentry.catalogs import VectorCatalog, fit_catalogs
 from chainsentry.errors import DataError
 
@@ -123,3 +129,78 @@ def test_subsampled_fit_stays_deterministic(rng):
     a = VectorCatalog(n_clusters=2, max_fit_vectors=100, random_state=3).fit(X)
     b = VectorCatalog(n_clusters=2, max_fit_vectors=100, random_state=3).fit(X)
     assert np.array_equal(a.centers_, b.centers_)
+
+
+# -- Ward linkage against scipy --------------------------------------------------
+
+
+def same_partition(a, b) -> bool:
+    pairs = np.unique(np.column_stack([a, b]), axis=0).shape[0]
+    return pairs == np.unique(a).size == np.unique(b).size
+
+
+def assert_ward_matches_scipy(X, ks=None):
+    want = scipy_linkage(X, method="ward")
+    got = ward.linkage(X)
+    assert got.tobytes() == want.tobytes()
+    distinct = np.unique(X, axis=0).shape[0]
+    for k in ks or sorted({1, 2, distinct // 2 or 1, distinct, X.shape[0]}):
+        assert same_partition(ward.maxclust(got, k),
+                              fcluster(want, t=k, criterion="maxclust")), k
+
+
+@pytest.mark.parametrize("shape", [(2, 1), (2, 3), (7, 1), (40, 4), (150, 9), (60, 212)])
+def test_distances_equal_scipy_pdist_bit_for_bit(rng, shape):
+    X = rng.normal(size=shape) * rng.uniform(1e-3, 1e3, size=shape[1])
+    assert ward.pdist(X).tobytes() == scipy_pdist(X).tobytes()
+
+
+def test_ward_two_points():
+    X = np.array([[0.0, 1.0], [3.0, -1.0]])
+    assert_ward_matches_scipy(X, ks=[1, 2])
+    assert ward.linkage(X).shape == (1, 4)
+
+
+def test_ward_duplicate_rows(rng):
+    base = rng.normal(size=(6, 3))
+    X = base[rng.integers(0, 6, size=30)]
+    assert_ward_matches_scipy(X)
+    assert (ward.linkage(X)[:24, 2] == 0.0).all()
+
+
+def test_ward_integer_valued_ties(rng):
+    for _ in range(5):
+        assert_ward_matches_scipy(rng.integers(0, 3, size=(50, 3)).astype(float))
+
+
+def test_ward_real_valued_blobs(rng):
+    X, _ = blobs(rng, [np.zeros(4), np.full(4, 3.0), np.array([3.0, -3.0, 0.0, 1.0])])
+    assert_ward_matches_scipy(X, ks=[1, 2, 3, 4, 8, 16, 32, 64, X.shape[0]])
+
+
+small_matrices = st.tuples(st.integers(2, 12), st.integers(1, 4)).flatmap(
+    lambda shape: arrays(np.float64, shape, elements=st.one_of(
+        st.integers(-2, 2).map(float),
+        st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False))))
+
+
+# A square symmetric draw looks to scipy like a distance matrix, and it warns.
+@pytest.mark.filterwarnings("ignore::scipy.cluster.hierarchy.ClusterWarning")
+@settings(deadline=None, max_examples=150)
+@given(small_matrices)
+def test_ward_matches_scipy_on_small_matrices(X):
+    assert_ward_matches_scipy(X, ks=range(1, X.shape[0] + 1))
+
+
+def test_tied_ward_cut_still_raises():
+    # The unit square's two first merges tie at height 1, so no cut gives 3.
+    X = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    assert np.unique(fcluster(scipy_linkage(X, method="ward"), t=3,
+                              criterion="maxclust")).size == 2
+    with pytest.raises(DataError, match="ward cut produced 2 clusters, expected 3"):
+        VectorCatalog(n_clusters=3).fit(X)
+
+
+def test_ward_distance_overflow_is_a_data_error():
+    with pytest.raises(DataError, match="overflow"):
+        VectorCatalog(n_clusters=2).fit(np.array([[1e200], [-1e200], [0.0]]))

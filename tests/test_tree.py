@@ -15,6 +15,19 @@ def test_perfectly_separable_single_feature():
     assert model.feature_importances_[0] == pytest.approx(1.0)
 
 
+def test_split_between_adjacent_doubles_separates_them():
+    # (a + b) / 2 rounds up to b here, so a midpoint cut would send every row left.
+    a = 1.0 + 2.0 ** -52
+    b = np.nextafter(a, 2.0)
+    assert (a + b) / 2.0 == b
+    X = np.array([[a], [a], [b], [b]])
+    y = np.array([0, 0, 1, 1])
+    model = DecisionTreeClassifier(max_depth=8, min_samples_leaf=1, random_state=0).fit(X, y)
+    assert all(node.n > 0 for node in model.nodes_)
+    assert model.depth_ == 1 and model.nodes_[0].threshold == a
+    assert (model.predict(X) == y).all()
+
+
 def test_importances_sum_to_one(rng):
     X = rng.normal(size=(300, 6))
     y = (X[:, 0] + 0.5 * X[:, 3] > 0).astype(int)
