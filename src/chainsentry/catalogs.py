@@ -49,7 +49,6 @@ class VectorCatalog(ParamsMixin):
         self.max_fit_vectors = max_fit_vectors
         self.random_state = random_state
         self.centers_: np.ndarray | None = None
-        self.merges_: np.ndarray | None = None
         self.labels_: np.ndarray | None = None
         self.explainer_: DecisionTreeClassifier | None = None
         self.explainer_accuracy_: float | None = None
@@ -75,11 +74,8 @@ class VectorCatalog(ParamsMixin):
 
         if Vfit.shape[0] == 1:
             raw_labels = np.zeros(1, dtype=np.int64)
-            self.merges_ = np.zeros((0, 4))
         else:
-            Z = linkage(Vfit)
-            raw_labels = maxclust(Z, self.n_clusters)
-            self.merges_ = Z
+            raw_labels = maxclust(linkage(Vfit), self.n_clusters)
         n_found = np.unique(raw_labels).size
         if n_found != self.n_clusters:
             raise DataError(
@@ -127,10 +123,6 @@ class VectorCatalog(ParamsMixin):
             out[lo:lo + step] = np.argmin(d2, axis=1)
         return out
 
-    def assign(self, vector) -> tuple[int, np.ndarray]:
-        idx = int(self.predict(np.asarray(vector)[None, :])[0])
-        return idx, self.centers_[idx]
-
     # -- interpretability ------------------------------------------------------
 
     def explain(self, cluster_index: int) -> list[ClusterPredicate]:
@@ -174,7 +166,6 @@ class VectorCatalog(ParamsMixin):
             {
                 "n_clusters": self.n_clusters,
                 "centers": [fmt_floats(row) for row in self.centers_],
-                "merges": [fmt_floats(row) for row in self.merges_],
                 "feature_names": list(self.feature_names_),
                 "explainer_accuracy": self.explainer_accuracy_,
                 "explainer": {
@@ -191,9 +182,6 @@ class VectorCatalog(ParamsMixin):
         obj = json.loads(text)
         cat = cls(n_clusters=obj["n_clusters"])
         cat.centers_ = np.array([[float(v) for v in row] for row in obj["centers"]])
-        merges = obj["merges"]
-        cat.merges_ = (np.array([[float(v) for v in row] for row in merges])
-                       if merges else np.zeros((0, 4)))
         cat.feature_names_ = tuple(obj["feature_names"])
         cat.explainer_accuracy_ = obj["explainer_accuracy"]
         tree = DecisionTreeClassifier()
@@ -209,15 +197,3 @@ class VectorCatalog(ParamsMixin):
             ))
         cat.explainer_ = tree
         return cat
-
-
-def fit_catalogs(status_vectors, action_vectors, k_status: int, k_action: int,
-                 feature_names=None, max_fit_vectors: int = 5000,
-                 random_state: int = 0):
-    """Fit the status catalog on segment means and the action catalog on
-    segment differences; returns (status_catalog, action_catalog)."""
-    status = VectorCatalog(k_status, max_fit_vectors=max_fit_vectors,
-                           random_state=random_state).fit(status_vectors, feature_names)
-    action = VectorCatalog(k_action, max_fit_vectors=max_fit_vectors,
-                           random_state=random_state).fit(action_vectors, feature_names)
-    return status, action

@@ -1,4 +1,4 @@
-"""Transaction universe: parsing, validation, indexing, pair expansion.
+"""Transaction universe: parsing, validation and indexing.
 
 The on-disk format is line-delimited JSON, one transaction per line::
 
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import gc
 import json
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from operator import attrgetter
 
@@ -65,36 +64,6 @@ class TransactionRecord:
     @property
     def total_output(self) -> int:
         return sum(o.amount for o in self.outputs)
-
-
-@dataclass(frozen=True, slots=True)
-class TransactionPair:
-    """One edge of a transaction's bipartite input/output expansion.
-
-    ``src``/``dst`` are a source transaction id and an output address for
-    input-side (influence) pairs, and swap roles for output-side (trust)
-    pairs at the transaction-graph level.
-    """
-
-    tx_id: str
-    src: str
-    dst: str
-    proportion: float
-    allocated_amount: int
-    degenerate: bool = False
-
-
-@dataclass(frozen=True, slots=True)
-class AddressHistory:
-    """Receive/spend view of one address at a query time (no lookahead)."""
-
-    address: str
-    label: int | None
-    creation_time: int
-    receive_txs: tuple[str, ...]
-    spend_txs: tuple[str, ...]
-    receive_pair_count: int
-    spend_pair_count: int
 
 
 @dataclass(slots=True)
@@ -456,12 +425,6 @@ def serialize_transaction(rec: TransactionRecord) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-def serialize_transactions(store: TxStore):
-    """Canonical (timestamp, txid)-ordered line stream; parse round-trips."""
-    for tx_id in sorted(store.tx_ids(), key=lambda t: (store.tx(t).timestamp, t)):
-        yield serialize_transaction(store.tx(tx_id))
-
-
 def load_labels(path) -> dict[str, int]:
     labels: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -484,78 +447,3 @@ def write_labels(labels: dict[str, int], path) -> None:
         fh.write("address,label\n")
         for addr in sorted(labels):
             fh.write(f"{addr},{labels[addr]}\n")
-
-
-def address_history(store: TxStore, address: str, t_now: int) -> AddressHistory:
-    """History of ``address`` restricted to timestamps <= ``t_now``.
-
-    Raises :class:`NotFoundError` when the address has no activity at or
-    before ``t_now`` (no lookahead).
-    """
-    recv_all = store.receive_txs(address)
-    spend_all = store.spend_txs(address)
-    if not recv_all and not spend_all:
-        raise NotFoundError(f"unknown address {address!r}")
-
-    def visible(tx_ids):
-        times = [store.tx(t).timestamp for t in tx_ids]
-        cut = bisect_right(times, t_now)
-        return tx_ids[:cut]
-
-    recv = visible(recv_all)
-    spend = visible(spend_all)
-    if not recv and not spend:
-        raise NotFoundError(f"address {address!r} does not exist at t={t_now}")
-    first_times = [store.tx(t).timestamp for t in (recv[:1] + spend[:1])]
-    creation = min(first_times)
-    recv_pairs = sum(max(1, len(store.agg_inputs(t))) for t in recv)
-    spend_pairs = sum(
-        len(store.agg_outputs(t))
-        * sum(1 for o in store.input_owners(t) if o == address)
-        for t in spend
-    )
-    return AddressHistory(
-        address=address,
-        label=store.labels.get(address),
-        creation_time=creation,
-        receive_txs=tuple(recv),
-        spend_txs=tuple(spend),
-        receive_pair_count=recv_pairs,
-        spend_pair_count=spend_pairs,
-    )
-
-
-def expand_pairs(tx: TransactionRecord) -> list[TransactionPair]:
-    """Bipartite |I| x |J| expansion with input-share proportions.
-
-    Inputs are aggregated by source transaction and outputs by address, so
-    |I| and |J| count distinct counterparties.  Proportions are the input's
-    share of the total input amount (identical for every output); allocated
-    amounts conserve the total input exactly per output, with any rounding
-    residue assigned to the largest pair.
-    """
-    if tx.is_coinbase:
-        raise DataError(f"cannot expand coinbase transaction {tx.tx_id}")
-    in_agg: dict[str, int] = {}
-    for inp in tx.inputs:
-        in_agg[inp.src] = in_agg.get(inp.src, 0) + inp.amount
-    out_agg: dict[str, int] = {}
-    for out in tx.outputs:
-        out_agg[out.addr] = out_agg.get(out.addr, 0) + out.amount
-    total_in = sum(in_agg.values())
-    degenerate = total_in == 0
-    srcs = list(in_agg.items())
-    if degenerate:
-        proportions = [1.0 / len(srcs)] * len(srcs)
-    else:
-        proportions = [amount / total_in for _, amount in srcs]
-    pairs: list[TransactionPair] = []
-    for addr in out_agg:
-        allocs = [round(p * total_in) for p in proportions]
-        residue = total_in - sum(allocs)
-        if residue:
-            largest = max(range(len(srcs)), key=lambda k: (proportions[k], -k))
-            allocs[largest] += residue
-        for (src, _), prop, alloc in zip(srcs, proportions, allocs):
-            pairs.append(TransactionPair(tx.tx_id, src, addr, prop, alloc, degenerate))
-    return pairs

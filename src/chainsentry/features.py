@@ -89,7 +89,6 @@ def seed_schema() -> tuple[str, ...]:
 
 FULL_SCHEMA = full_schema()
 SEED_SCHEMA = seed_schema()
-SEED_COLUMN_INDEX = tuple(FULL_SCHEMA.index(name) for name in SEED_SCHEMA)
 SCHEMA_HASH = hashlib.sha256(
     (f"v{SCHEMA_VERSION}:" + ",".join(FULL_SCHEMA)).encode()
 ).hexdigest()
@@ -313,9 +312,6 @@ class FeatureTimeline:
     @property
     def hours(self) -> int:
         return self.matrix.shape[0]
-
-    def seed_matrix(self) -> np.ndarray:
-        return self.matrix[:, list(SEED_COLUMN_INDEX)]
 
 
 class _SetTracker:

@@ -134,10 +134,6 @@ def init_params(dims: Dims, seed: int = 0) -> dict[str, np.ndarray]:
     return params
 
 
-def zeros_like_params(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    return {k: np.zeros_like(v) for k, v in params.items()}
-
-
 def flatten_params(params: dict[str, np.ndarray]) -> np.ndarray:
     return np.concatenate([params[k].ravel() for k in params])
 

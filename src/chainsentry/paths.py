@@ -1,4 +1,4 @@
-"""Asset-transfer paths: influence/trust pairs and BK/FR path construction.
+"""Asset-transfer paths: BK/FR path construction.
 
 A path is a chain of (previous tx, cumulative activation score, tx) hops
 anchored at one of an address's receive transactions (backward tracing, BK)
@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .chain import TransactionPair, TransactionRecord, TxStore
+from .chain import TxStore
 from .errors import DataError
 
 DAY = 86400.0
@@ -51,16 +51,6 @@ class PathConfig:
             raise DataError("max_span must be positive")
         if self.max_paths_per_set < 1:
             raise DataError("max_paths_per_set must be >= 1")
-
-    @classmethod
-    def long_term(cls, direction: str, threshold: float = LT_THRESHOLD,
-                  max_span: float = LT_SPAN, max_paths_per_set: int = 10_000):
-        return cls(direction, "LT", threshold, max_span, max_paths_per_set)
-
-    @classmethod
-    def short_term(cls, direction: str, threshold: float = ST_THRESHOLD,
-                   max_span: float = ST_SPAN, max_paths_per_set: int = 10_000):
-        return cls(direction, "ST", threshold, max_span, max_paths_per_set)
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,43 +101,6 @@ class PathSet:
         return {p.key for p in self.paths}
 
 
-def influence_pairs(tx: TransactionRecord, threshold: float) -> list[TransactionPair]:
-    """Input-side pairs contributing at least ``threshold`` of the input total."""
-    from .chain import expand_pairs
-
-    return [p for p in expand_pairs(tx) if p.proportion >= threshold]
-
-
-def trust_pairs(tx: TransactionRecord, threshold: float) -> list[TransactionPair]:
-    """Output-side pairs receiving at least ``threshold`` of the output total."""
-    if tx.is_coinbase:
-        raise DataError(f"cannot expand coinbase transaction {tx.tx_id}")
-    in_agg: dict[str, int] = {}
-    for inp in tx.inputs:
-        in_agg[inp.src] = in_agg.get(inp.src, 0) + inp.amount
-    out_agg: dict[str, int] = {}
-    for out in tx.outputs:
-        out_agg[out.addr] = out_agg.get(out.addr, 0) + out.amount
-    total_out = sum(out_agg.values())
-    degenerate = total_out == 0
-    outs = list(out_agg.items())
-    if degenerate:
-        proportions = [1.0 / len(outs)] * len(outs)
-    else:
-        proportions = [amount / total_out for _, amount in outs]
-    allocs = [round(p * total_out) for p in proportions]
-    residue = total_out - sum(allocs)
-    if residue:
-        largest = max(range(len(outs)), key=lambda k: (proportions[k], -k))
-        allocs[largest] += residue
-    pairs = []
-    for src in in_agg:
-        for (addr, _), prop, alloc in zip(outs, proportions, allocs):
-            if prop >= threshold:
-                pairs.append(TransactionPair(tx.tx_id, src, addr, prop, alloc, degenerate))
-    return pairs
-
-
 def _backward_expansions(store: TxStore, path: AssetTransferPath, config: PathConfig,
                          anchor_time: int):
     tip = path.tip_tx
@@ -191,7 +144,8 @@ def _prune_frontier(frontier: list[AssetTransferPath], cap: int):
 
 
 def backward_paths(store: TxStore, seed_tx: str, config: PathConfig) -> PathSet:
-    """Frontier walk over influence pairs from a receive transaction.
+    """Frontier walk over influence pairs from a receive transaction: a hop
+    to a source scores that source's share of the tip's input total.
 
     Returns all frontier states (the seed plus every accepted prefix),
     deduplicated by hop sequence.  Frontiers larger than the configured cap
@@ -222,7 +176,8 @@ def backward_paths(store: TxStore, seed_tx: str, config: PathConfig) -> PathSet:
 
 
 def forward_paths(store: TxStore, seed_tx: str, config: PathConfig, t_now: int) -> PathSet:
-    """Forward mirror of :func:`backward_paths` over trust pairs.
+    """Forward mirror of :func:`backward_paths`: a hop to a spending child
+    scores the child's drawn amount over the tip's output total.
 
     The effective span is the smaller of the configured span and the time
     elapsed since the seed (future data cannot be observed).

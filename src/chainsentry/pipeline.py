@@ -22,8 +22,8 @@ from .base import stratified_split
 from .catalogs import VectorCatalog
 from .chain import TxStore, load_labels, parse_transactions_file
 from .errors import ConfigError, DataError, NotFoundError
-from .features import (FeatureTimeline, feature_timeline, read_feature_csv,
-                       write_feature_csv, write_schema_json)
+from .features import (FULL_SCHEMA, PATH_SET_NAMES, FeatureTimeline, feature_timeline,
+                       read_feature_csv, write_feature_csv, write_schema_json)
 from .gbt import GBTClassifier
 from .intention import (IntentionConfig, IntentionNetwork, SequenceBatch,
                         load_params, save_params, save_params_json)
@@ -387,14 +387,6 @@ def iter_timelines(store: TxStore, addresses: list[str], hours: int,
         _WORKER_STATE.clear()
 
 
-def build_timelines(store: TxStore, addresses: list[str], hours: int,
-                    params: PathParams, jobs: int = 1,
-                    tx_path=None, labels_path=None) -> list[FeatureTimeline]:
-    """Every timeline of :func:`iter_timelines`, as a list."""
-    return list(iter_timelines(store, addresses, hours, params, jobs,
-                               tx_path, labels_path))
-
-
 def stage_features(config: PipelineConfig, out_dir: Path, jobs: int = 1) -> dict:
     """Stream every labelled address's timeline into ``features.csv``.
 
@@ -539,19 +531,6 @@ class SequenceContext:
             _require(out_dir / "catalog_action.json", "segment").read_text())
         return cls(spec, plan, status, action)
 
-    def segment_sequence(self, timeline: FeatureTimeline):
-        """Per-segment entries of (status index, status vector, action index,
-        action vector) for one address."""
-        mat = materialize_features(self.spec, timeline.matrix)
-        norm = self.plan.normalize(mat)
-        g, d = segment_representations(norm, self.plan)
-        s_idx = self.status.predict(g)
-        a_idx = self.action.predict(d)
-        return tuple(
-            (int(s), self.status.centers_[s], int(a), self.action.centers_[a])
-            for s, a in zip(s_idx, a_idx)
-        )
-
     def sequences(self, timelines: list[FeatureTimeline]):
         """Returns (features, status_vec, action_vec, status_idx, action_idx,
         labels, addresses), all expanded to one entry per hour (each hour
@@ -690,6 +669,10 @@ def stage_eval(config: PipelineConfig, out_dir: Path) -> dict:
     pred_path = _require(out_dir / "predictions.csv", "predict")
     labels = load_labels(_require(out_dir / config.data.labels, "synth"))
     addresses, p, s, _ = read_predictions(pred_path)
+    for a in addresses:
+        if a not in labels:
+            raise DataError(f"predicted address {a!r} has no row in {config.data.labels}; "
+                            "re-run predict")
     y = np.array([labels[a] for a in addresses], dtype=np.int64)
     report_all = evaluate(addresses, p, y)
 
@@ -749,17 +732,16 @@ def explain_address(config: PipelineConfig, out_dir: Path, address: str) -> str:
     for t in range(batch.n_steps):
         lines.append(f"  hour {t + 1:2d}: S={fw.survival[0, t]:.6f} "
                      f"p_malicious={fw.p_hat[0, t]:.6f}")
-    path_dump = out_dir / "paths" / f"{address}.jsonl"
-    if path_dump.exists():
-        counts: dict[str, int] = {}
-        with open(path_dump, "r", encoding="utf-8") as fh:
-            for line in fh:
-                obj = json.loads(line)
-                key = f"{obj['horizon']}-{obj['direction']}"
-                counts[key] = counts.get(key, 0) + 1
-        lines.append("")
-        lines.append("path sets at end of window: "
-                     + ", ".join(f"{k}={v}" for k, v in sorted(counts.items())))
+    # The last feature row holds each set's path count at the end of the window.
+    last_row = timelines[0].matrix[-1]
+    counts = {}
+    for name in PATH_SET_NAMES:
+        n = int(last_row[FULL_SCHEMA.index(f"{name}__path_count")])
+        if n:
+            counts[name.upper().replace("_", "-")] = n
+    lines.append("")
+    lines.append("path sets at end of window: "
+                 + ", ".join(f"{k}={v}" for k, v in sorted(counts.items())))
     text = "\n".join(lines) + "\n"
     (out_dir / f"explain_{address}.txt").write_text(text)
     return text

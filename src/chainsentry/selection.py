@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import ParamsMixin, as_float_matrix, as_label_vector, binary_f1, stratified_split
-from .errors import DataError, NotFittedError
+from .base import as_float_matrix, as_label_vector, binary_f1, stratified_split
+from .errors import DataError
 from .features import (ADDRESS_FEATURES, AGG_STATS, FULL_SCHEMA, PATH_BASE_FEATURES,
                        PATH_SET_NAMES, SCHEMA_HASH)
 from .tree import DecisionTreeClassifier
@@ -227,34 +227,3 @@ def dtsc_loop(full_matrix, y, theta_c: float = 0.5, n_runs: int = 10,
             break
     return FeatureSpec(spec.complement, spec.reserve, spec.delete,
                        round=spec.round, round_scores=tuple(scores))
-
-
-class FeatureSelector(ParamsMixin):
-    """Estimator wrapper around the selection loop: fit on the full matrix
-    plus labels, transform full matrices to materialized column views."""
-
-    def __init__(self, theta_c: float = 0.5, n_runs: int = 10, max_rounds: int = 16,
-                 max_depth: int = 8, min_samples_leaf: int = 5,
-                 val_fraction: float = 0.2):
-        self.theta_c = theta_c
-        self.n_runs = n_runs
-        self.max_rounds = max_rounds
-        self.max_depth = max_depth
-        self.min_samples_leaf = min_samples_leaf
-        self.val_fraction = val_fraction
-        self.spec_: FeatureSpec | None = None
-
-    def fit(self, full_matrix, y):
-        self.spec_ = dtsc_loop(
-            full_matrix, y, self.theta_c, self.n_runs, self.max_rounds,
-            self.max_depth, self.min_samples_leaf, self.val_fraction,
-        )
-        return self
-
-    def transform(self, full_matrix) -> np.ndarray:
-        if self.spec_ is None:
-            raise NotFittedError("FeatureSelector is not fitted")
-        return materialize_features(self.spec_, full_matrix)
-
-    def fit_transform(self, full_matrix, y) -> np.ndarray:
-        return self.fit(full_matrix, y).transform(full_matrix)

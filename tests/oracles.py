@@ -61,6 +61,58 @@ def dfs_forward_paths(store, seed_tx, threshold, max_span, t_now):
     return results
 
 
+@dataclass(frozen=True)
+class TransactionPair:
+    """One edge (source tx -> output address) of a transaction's bipartite
+    input/output expansion: the paper's influence pair."""
+
+    tx_id: str
+    src: str
+    dst: str
+    proportion: float
+    allocated_amount: int
+    degenerate: bool = False
+
+
+def expand_pairs(tx):
+    """Bipartite |I| x |J| expansion with input-share proportions.
+
+    Inputs are aggregated by source transaction and outputs by address, so
+    |I| and |J| count distinct counterparties.  Proportions are the input's
+    share of the total input amount (identical for every output, and equal
+    shares when the total is zero); allocated amounts conserve the total
+    input exactly per output, with any rounding residue assigned to the
+    largest pair.
+    """
+    from chainsentry.errors import DataError
+
+    if tx.is_coinbase:
+        raise DataError(f"cannot expand coinbase transaction {tx.tx_id}")
+    in_agg: dict[str, int] = {}
+    for inp in tx.inputs:
+        in_agg[inp.src] = in_agg.get(inp.src, 0) + inp.amount
+    out_agg: dict[str, int] = {}
+    for out in tx.outputs:
+        out_agg[out.addr] = out_agg.get(out.addr, 0) + out.amount
+    total_in = sum(in_agg.values())
+    degenerate = total_in == 0
+    srcs = list(in_agg.items())
+    if degenerate:
+        proportions = [1.0 / len(srcs)] * len(srcs)
+    else:
+        proportions = [amount / total_in for _, amount in srcs]
+    pairs = []
+    for addr in out_agg:
+        allocs = [round(p * total_in) for p in proportions]
+        residue = total_in - sum(allocs)
+        if residue:
+            largest = max(range(len(srcs)), key=lambda k: (proportions[k], -k))
+            allocs[largest] += residue
+        for (src, _), prop, alloc in zip(srcs, proportions, allocs):
+            pairs.append(TransactionPair(tx.tx_id, src, addr, prop, alloc, degenerate))
+    return pairs
+
+
 class ReferenceForwardTrace:
     """Forward paths of one anchor, brought up to date by re-scanning every
     path's children on each ``extend`` (no quiet call is skipped).

@@ -19,7 +19,7 @@ from chainsentry.features import FULL_SCHEMA, SEED_SCHEMA
 from chainsentry.intention import compute_loss, forward_pass, init_params
 from chainsentry.metrics import confident_time, f1_consistency, f1_early
 from chainsentry.paths import PathConfig, PathParams, backward_paths, forward_paths
-from chainsentry.pipeline import (SequenceContext, _load_timelines, build_timelines,
+from chainsentry.pipeline import (SequenceContext, _load_timelines, iter_timelines,
                                   load_config, read_predictions, run_pipeline)
 from chainsentry.segmentation import SegmentationPlanner, change_ratio
 from chainsentry.selection import dtsc_loop
@@ -369,7 +369,7 @@ def test_criterion_10a_single_worker_throughput(benchmark_universe):
     out, store, addresses = benchmark_universe
     assert len(addresses) == 1000
     t0 = time.perf_counter()
-    timelines = build_timelines(store, addresses, 24, PathParams(), jobs=1)
+    timelines = list(iter_timelines(store, addresses, 24, PathParams(), jobs=1))
     elapsed = time.perf_counter() - t0
     report("criterion 10a (1000 addresses x 24h single worker)",
            len(timelines) == 1000 and elapsed < 300.0,
@@ -381,12 +381,12 @@ def test_criterion_10a_single_worker_throughput(benchmark_universe):
 def test_criterion_10b_parallel_speedup(benchmark_universe):
     out, store, addresses = benchmark_universe
     t0 = time.perf_counter()
-    build_timelines(store, addresses, 24, PathParams(), jobs=1)
+    list(iter_timelines(store, addresses, 24, PathParams(), jobs=1))
     t_single = time.perf_counter() - t0
     t0 = time.perf_counter()
-    build_timelines(store, addresses, 24, PathParams(), jobs=8,
-                    tx_path=out / "transactions.jsonl",
-                    labels_path=out / "labels.csv")
+    list(iter_timelines(store, addresses, 24, PathParams(), jobs=8,
+                        tx_path=out / "transactions.jsonl",
+                        labels_path=out / "labels.csv"))
     t_parallel = time.perf_counter() - t0
     speedup = t_single / t_parallel
     report("criterion 10b (8-worker speedup >= 4x)",

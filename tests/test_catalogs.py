@@ -7,7 +7,7 @@ from scipy.cluster.hierarchy import fcluster, linkage as scipy_linkage
 from scipy.spatial.distance import pdist as scipy_pdist
 
 from chainsentry import ward
-from chainsentry.catalogs import VectorCatalog, fit_catalogs
+from chainsentry.catalogs import VectorCatalog
 from chainsentry.errors import DataError
 
 
@@ -47,13 +47,9 @@ def test_k_exceeding_distinct_vectors_raises():
 def test_assign_center_and_tie(rng):
     X, _ = blobs(rng, [np.zeros(2), np.array([4.0, 0.0])])
     cat = VectorCatalog(n_clusters=2).fit(X)
-    for k in range(2):
-        idx, center = cat.assign(cat.centers_[k])
-        assert idx == k
-        assert np.allclose(center, cat.centers_[k])
+    assert cat.predict(cat.centers_).tolist() == [0, 1]
     midpoint = cat.centers_.mean(axis=0)
-    idx, _ = cat.assign(midpoint)
-    assert idx == 0  # ties break to the smaller index
+    assert cat.predict(midpoint[None, :]).tolist() == [0]  # ties break to the smaller index
 
 
 def test_refit_consistency_of_members(rng):
@@ -119,7 +115,9 @@ def test_catalog_json_roundtrip(rng):
 def test_fit_catalogs_pair(rng):
     g, _ = blobs(rng, [np.zeros(2), np.full(2, 3.0)])
     d, _ = blobs(rng, [np.full(2, -1.0), np.full(2, 1.0)])
-    status, action = fit_catalogs(g, d, 2, 2)
+    # The segment stage fits one catalog on statuses and one on actions.
+    status = VectorCatalog(2, max_fit_vectors=5000, random_state=0).fit(g)
+    action = VectorCatalog(2, max_fit_vectors=5000, random_state=0).fit(d)
     assert status.centers_.shape == (2, 2)
     assert action.centers_.shape == (2, 2)
 

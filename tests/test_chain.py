@@ -4,12 +4,13 @@ import json
 import numpy as np
 import pytest
 
-from chainsentry.chain import (address_history, expand_pairs, parse_transactions,
-                               parse_transactions_file, serialize_transaction,
-                               serialize_transactions, TxStore)
-from chainsentry.errors import DataError, NotFoundError
+from chainsentry.chain import (parse_transactions, parse_transactions_file,
+                               serialize_transaction, TxStore)
+from chainsentry.errors import DataError
+from chainsentry.features import ADDRESS_FEATURES, _AddressEvents, address_features
+from chainsentry.paths import path_sets_for_address
 from conftest import HOUR, T0, tx
-from oracles import random_dag_records, reference_indexes
+from oracles import expand_pairs, random_dag_records, reference_indexes
 
 
 def test_empty_stream():
@@ -26,9 +27,8 @@ def test_single_tx_store():
     store = parse_transactions([line])
     assert len(store) == 1
     assert list(store.addresses()) == ["a1"]
-    hist = address_history(store, "a1", T0)
-    assert hist.receive_txs == ("t1",)
-    assert hist.spend_txs == ()
+    assert store.receive_txs("a1") == ("t1",)
+    assert store.spend_txs("a1") == ()
 
 
 def test_malformed_lines_reported_not_fatal():
@@ -112,8 +112,8 @@ def test_time_travel_reference_becomes_boundary():
 
 
 def test_no_lookahead_raises(chain_store):
-    with pytest.raises(NotFoundError):
-        address_history(chain_store, "alice", T0 - 1)
+    with pytest.raises(DataError, match="no activity"):
+        path_sets_for_address(chain_store, "alice", T0 - 1)
 
 
 def test_history_respects_query_time():
@@ -125,21 +125,27 @@ def test_history_respects_query_time():
         tx("s1", T0 + 16 * HOUR, [("r1", 100, "a")], [("sink", 100)]),
     ]
     store = TxStore.from_records(records)
-    hist = address_history(store, "a", T0 + 14 * HOUR)
-    assert len(hist.receive_txs) == 2
-    assert len(hist.spend_txs) == 0
-    later = address_history(store, "a", T0 + 16 * HOUR)
-    assert len(later.spend_txs) == 1
-    # Monotone: earlier histories are subsets of later ones.
-    assert set(hist.receive_txs) <= set(later.receive_txs)
+    events = _AddressEvents.collect(store, "a")
+    assert events.creation == T0
+    receives = ADDRESS_FEATURES.index("addr__receive_count_total")
+    spends = ADDRESS_FEATURES.index("addr__spend_count_total")
+    hist = address_features(events, T0 + 14 * HOUR)
+    assert (hist[receives], hist[spends]) == (2, 0)
+    later = address_features(events, T0 + 16 * HOUR)
+    assert (later[receives], later[spends]) == (2, 1)
+    # Monotone: counts never fall as the query time moves on.
+    hourly = address_features(events, T0 + HOUR * np.arange(24))
+    assert (np.diff(hourly[:, [receives, spends]], axis=0) >= 0).all()
 
 
 def test_71_input_deposit_pair_count(case_study_store):
-    hist = address_history(case_study_store, "hack", T0)
-    assert hist.receive_pair_count == 71
-    assert len(hist.receive_txs) == 1
-    assert len(hist.spend_txs) == 0
-    assert hist.creation_time == T0
+    (deposit,) = [t for t in case_study_store.receive_txs("hack")
+                  if case_study_store.tx(t).timestamp <= T0]
+    assert len(case_study_store.agg_inputs(deposit)) == 71
+    assert len(expand_pairs(case_study_store.tx(deposit))) == 71  # one output address
+    assert all(case_study_store.tx(t).timestamp > T0
+               for t in case_study_store.spend_txs("hack"))
+    assert _AddressEvents.collect(case_study_store, "hack").creation == T0
 
 
 def test_owner_resolution_falls_back_to_amount_match():
@@ -228,6 +234,9 @@ def test_store_indexes_match_the_two_pass_reference_on_random_dags():
         _assert_store_matches_reference(records)
 
 
+# -- the transaction-pair oracle (tests/oracles.py) ----------------------------
+
+
 def test_expand_pairs_counts():
     five_two = tx("t", T0, [(f"i{k}", 10, None) for k in range(5)],
                   [("o1", 30), ("o2", 20)])
@@ -278,12 +287,16 @@ def test_expand_pairs_rejects_coinbase():
 
 
 def test_roundtrip_parse_serialize_parse(case_study_store):
-    lines = list(serialize_transactions(case_study_store))
+    def serialize(store):
+        order = sorted(store.tx_ids(), key=lambda t: (store.tx(t).timestamp, t))
+        return [serialize_transaction(store.tx(t)) for t in order]
+
+    lines = serialize(case_study_store)
     store2 = parse_transactions(lines)
     assert len(store2) == len(case_study_store)
     for tx_id in case_study_store.tx_ids():
         assert store2.tx(tx_id) == case_study_store.tx(tx_id)
-    assert list(serialize_transactions(store2)) == lines
+    assert serialize(store2) == lines
 
 
 def test_bulk_generation_count_matches_line_oracle(tmp_path):

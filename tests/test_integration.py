@@ -9,6 +9,7 @@ from chainsentry.intention import IntentionNetwork
 from chainsentry.intention.network import t_die
 from chainsentry.pipeline import (SequenceContext, load_config, run_pipeline,
                                   stage_eval)
+from chainsentry.segmentation import segment_representations
 from chainsentry.selection import SEED_FEATURE_NAMES, _column_importances_to_seed, \
     FeatureSpec, train_decision_tree, materialize_features
 from chainsentry.synth import ScenarioSpec, generate
@@ -140,11 +141,15 @@ def test_segment_sequence_matches_hourly_expansion(tmp_path):
     ctx = SequenceContext.load(tmp_path)
     timelines = _load_timelines(tmp_path)
     tl = timelines[0]
-    per_segment = ctx.segment_sequence(tl)
+    norm = ctx.plan.normalize(materialize_features(ctx.spec, tl.matrix))
+    g, d = segment_representations(norm, ctx.plan)
+    per_segment = list(zip(ctx.status.predict(g), ctx.action.predict(d)))
     assert len(per_segment) == ctx.plan.n_segments
-    _, _, _, sidxs, aidxs, _, _ = ctx.sequences([tl])
+    _, svecs, avecs, sidxs, aidxs, _, _ = ctx.sequences([tl])
     seg_of_hour = ctx.plan.segment_of_hour()
     for hour in range(24):
-        s_idx, s_vec, a_idx, a_vec = per_segment[seg_of_hour[hour]]
+        s_idx, a_idx = per_segment[seg_of_hour[hour]]
         assert sidxs[0, hour] == s_idx
         assert aidxs[0, hour] == a_idx
+        assert np.array_equal(svecs[0, hour], ctx.status.centers_[s_idx])
+        assert np.array_equal(avecs[0, hour], ctx.action.centers_[a_idx])

@@ -5,11 +5,10 @@ from chainsentry import paths
 from chainsentry.chain import TxStore
 from chainsentry.errors import DataError
 from chainsentry.paths import (ForwardTrace, PathConfig, PathParams,
-                               backward_paths, forward_paths, influence_pairs,
-                               path_sets_for_address, trust_pairs)
+                               backward_paths, forward_paths, path_sets_for_address)
 from conftest import HOUR, T0, tx
 from oracles import (ReferenceForwardTrace, dfs_backward_paths, dfs_forward_paths,
-                     pathset_as_dict, random_dag_records)
+                     expand_pairs, pathset_as_dict, random_dag_records)
 
 DAY = 86400
 
@@ -29,35 +28,68 @@ def test_config_validation():
         PathConfig("BK", "LT", 0.0, 10.0)
     with pytest.raises(DataError):
         PathConfig("BK", "LT", 0.5, -1.0)
-    lt = PathConfig.long_term("BK")
-    st = PathConfig.short_term("FR")
-    assert (lt.threshold, lt.max_span) == (0.5, 7 * DAY)
-    assert (st.threshold, st.max_span) == (0.01, 1 * DAY)
+    lt = PathParams().config("LT", "BK")
+    st = PathParams().config("ST", "FR")
+    assert (lt.direction, lt.horizon, lt.threshold, lt.max_span) == ("BK", "LT", 0.5, 7 * DAY)
+    assert (st.direction, st.horizon, st.threshold, st.max_span) == ("FR", "ST", 0.01, 1 * DAY)
 
 
-def test_influence_pairs_threshold():
-    t = tx("t", T0, [("i1", 5, None), ("i2", 70, None), ("i3", 25, None)],
-           [("o", 100)])
-    hits = influence_pairs(t, 0.5)
-    assert len(hits) == 1 and hits[0].src == "i2"
-    sole = tx("s", T0, [("i", 9, None)], [("o", 9)])
-    assert len(influence_pairs(sole, 1.0)) == 1
+def assert_backward_hops_match_pair_oracle(store, pathset):
+    """Every hop's score is its parent's score times the oracle pair
+    proportion of the source it steps to; returns the hops checked."""
+    proportions = {}
+    checked = 0
+    for path in pathset.paths:
+        for (_, parent_score, tip), (prev, score, src) in zip(path.hops, path.hops[1:]):
+            assert prev == tip
+            if tip not in proportions:
+                proportions[tip] = {p.src: p.proportion for p in expand_pairs(store.tx(tip))}
+            assert score == parent_score * proportions[tip][src]
+            checked += 1
+    return checked
 
 
-def test_influence_pairs_71_equal_inputs():
-    t = tx("t", T0, [(f"i{k}", 100, None) for k in range(71)], [("o", 7100)])
-    assert len(influence_pairs(t, 0.01)) == 71  # 1/71 ~ 0.0141 >= 0.01
+def _sources_then(tip_inputs):
+    """Coinbase sources for ``tip_inputs`` (name, amount), then the tip
+    spending them into one output."""
+    records = [tx(src, T0 - HOUR, [], [(f"w_{src}", amount)]) for src, amount in tip_inputs]
+    records.append(tx("tip", T0, [(src, amount, None) for src, amount in tip_inputs],
+                      [("o", sum(a for _, a in tip_inputs))]))
+    return TxStore.from_records(records)
 
 
-def test_trust_pairs_threshold_and_boundary():
-    t = tx("t", T0, [("i", 100, None)],
-           [("a", 20), ("b", 70), ("c", 10)])
-    hits = trust_pairs(t, 0.5)
-    assert len(hits) == 1 and hits[0].dst == "b"
-    sole = tx("s", T0, [("i", 10, None)], [("o", 10)])
-    assert len(trust_pairs(sole, 1.0)) == 1
-    even = tx("e", T0, [("i", 100, None)], [("a", 50), ("b", 50)])
-    assert len(trust_pairs(even, 0.5)) == 2  # boundary is inclusive
+@pytest.mark.parametrize("inputs, threshold, want", [
+    pytest.param([("i1", 5), ("i2", 70), ("i3", 25)], 0.5, {("tip", "i2"): 0.7},
+                 id="split-5-70-25"),
+    pytest.param([("i", 9)], 1.0, {("tip", "i"): 1.0}, id="sole-input-at-threshold-1"),
+    pytest.param([("i1", 0), ("i2", 0)], 0.5, {("tip", "i1"): 0.5, ("tip", "i2"): 0.5},
+                 id="zero-total-equal-shares"),
+])
+def test_backward_hop_scores_match_the_pair_oracle(inputs, threshold, want):
+    store = _sources_then(inputs)
+    ps = backward_paths(store, "tip", bk(threshold=threshold))
+    assert {p.key: p.score for p in ps.paths if p.hop_length} == want
+    assert assert_backward_hops_match_pair_oracle(store, ps) == len(want)
+
+
+def test_backward_hop_scores_match_the_pair_oracle_on_the_71_input_deposit(case_study_store):
+    ps = backward_paths(case_study_store, "dep", PathParams().config("ST", "BK"))
+    # 1/71 ~ 0.0141 clears the 0.01 threshold: one hop per feeder, then one
+    # more to each feeder's coinbase.
+    assert sum(p.hop_length == 1 for p in ps.paths) == 71
+    assert sum(p.hop_length == 2 for p in ps.paths) == 71
+    assert assert_backward_hops_match_pair_oracle(case_study_store, ps) == 71 + 2 * 71
+
+
+def test_backward_hop_scores_match_the_pair_oracle_on_random_dags(rng):
+    checked = 0
+    for case in range(60):
+        store = TxStore.from_records(random_dag_records(rng))
+        threshold, span = ((0.01, 1 * DAY), (0.2, 6 * DAY), (0.5, 7 * DAY))[case % 3]
+        for seed in sorted(store.tx_ids()):
+            ps = backward_paths(store, seed, bk(threshold=threshold, span=span))
+            checked += assert_backward_hops_match_pair_oracle(store, ps)
+    assert checked > 1000
 
 
 def test_backward_trivial_on_coinbase_ancestry():

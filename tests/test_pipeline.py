@@ -1,6 +1,7 @@
 import hashlib
 import json
 import multiprocessing
+import shutil
 import weakref
 
 import numpy as np
@@ -12,7 +13,7 @@ from chainsentry.errors import ConfigError, DataError, NotFoundError
 from chainsentry.pipeline import (STAGES, PipelineConfig, SequenceContext, load_config,
                                   read_predictions, run_pipeline,
                                   stage_features, stage_ingest, stage_paths,
-                                  stage_predict, stage_select, stage_segment,
+                                  stage_eval, stage_predict, stage_select, stage_segment,
                                   stage_synth, explain_address)
 
 SMALL = {
@@ -128,6 +129,35 @@ def test_explain_output(small_run):
     assert "intention motif:" in text
     assert "survival trace:" in text
     assert (out / f"explain_{hack}.txt").exists()
+
+
+def test_explain_counts_path_sets_without_the_paths_stage(small_run, tmp_path):
+    cfg, out = small_run
+    bare = tmp_path / "bare"
+    shutil.copytree(out, bare, ignore=shutil.ignore_patterns("paths", "explain_*"))
+    for address in sorted(load_labels(out / "labels.csv")):
+        dump = out / "paths" / f"{address}.jsonl"
+        counts = {}
+        for line in dump.read_text().splitlines():
+            obj = json.loads(line)
+            key = f"{obj['horizon']}-{obj['direction']}"
+            counts[key] = counts.get(key, 0) + 1
+        want = "path sets at end of window: " + ", ".join(
+            f"{k}={v}" for k, v in sorted(counts.items()))
+        text = explain_address(cfg, bare, address)
+        assert text.splitlines()[-1] == want
+        assert text == explain_address(cfg, out, address)
+
+
+def test_eval_refuses_predictions_for_an_unlabelled_address(small_run, tmp_path):
+    cfg, out = small_run
+    stale = tmp_path / "stale"
+    shutil.copytree(out, stale)
+    lines = (stale / "labels.csv").read_text().splitlines(keepends=True)
+    dropped = lines.pop(1).split(",")[0]
+    (stale / "labels.csv").write_text("".join(lines))
+    with pytest.raises(DataError, match=f"{dropped}.*re-run predict"):
+        stage_eval(cfg, stale)
 
 
 def test_sequence_context_roundtrip(small_run):

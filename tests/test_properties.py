@@ -5,12 +5,12 @@ import json
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from chainsentry.chain import (TransactionRecord, TxInput, TxOutput, expand_pairs,
-                               parse_transactions)
+from chainsentry.chain import TransactionRecord, TxInput, TxOutput, parse_transactions
 from chainsentry.errors import DataError
 from chainsentry.features import aggregate_path_set
 from chainsentry.intention import intention_index_of
 from chainsentry.metrics import f1_consistency, f1_early
+from oracles import expand_pairs
 
 amounts = st.lists(st.integers(min_value=0, max_value=10**12),
                    min_size=1, max_size=8)

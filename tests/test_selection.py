@@ -3,9 +3,9 @@ import pytest
 
 from chainsentry.errors import DataError
 from chainsentry.features import FULL_SCHEMA
-from chainsentry.selection import (COMPLEMENTABLE, SEED_FEATURE_NAMES, FeatureSelector,
-                                   FeatureSpec, dtsc_loop, importance_partition,
-                                   materialize_features, train_decision_tree)
+from chainsentry.selection import (COMPLEMENTABLE, SEED_FEATURE_NAMES, FeatureSpec,
+                                   dtsc_loop, importance_partition, materialize_features,
+                                   train_decision_tree)
 
 
 def test_seed_name_space():
@@ -158,11 +158,8 @@ def test_dtsc_determinism(rng):
 
 def test_selector_estimator_roundtrip(rng):
     X, y = planted_std_matrix(rng, n_addresses=40)
-    sel = FeatureSelector()
-    out = sel.fit_transform(X, y)
-    assert out.shape[0] == X.shape[0]
-    assert out.shape[1] == len(sel.spec_.column_names())
-    params = sel.get_params()
-    assert params["theta_c"] == 0.5
-    text = sel.spec_.to_json()
-    assert FeatureSpec.from_json(text) == sel.spec_
+    # What the select stage runs: fit the spec, then materialize its columns.
+    spec = dtsc_loop(X, y)
+    out = materialize_features(spec, X)
+    assert out.shape == (X.shape[0], len(spec.column_names()))
+    assert FeatureSpec.from_json(spec.to_json()) == spec

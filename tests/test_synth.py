@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chainsentry.chain import TxStore, address_history, parse_transactions_file
+from chainsentry.chain import TxStore, parse_transactions_file
 from chainsentry.errors import ConfigError
 from chainsentry.paths import PathParams, path_sets_for_address
 from chainsentry.synth import COIN, ScenarioSpec, generate, write_universe
@@ -47,13 +47,12 @@ def test_hack_deposit_matches_case_profile():
     hacks = [a for a, l in labels.items() if l == 1]
     assert len(hacks) == 1
     addr = hacks[0]
-    hist = address_history(store, addr, meta[addr]["start_hour"] * HOUR
-                           + 10**10)
-    deposit = store.tx(hist.receive_txs[0])
-    assert len(store.agg_inputs(deposit.tx_id)) == 71
-    total = store.received_amount(deposit.tx_id, addr)
+    deposit = store.receive_txs(addr)[0]
+    assert store.tx(deposit).timestamp == min(
+        store.tx(t).timestamp for t in store.receive_txs(addr) + store.spend_txs(addr))
+    assert len(store.agg_inputs(deposit)) == 71
+    total = store.received_amount(deposit, addr)
     assert abs(total / COIN - 555.997) < 0.01
-    assert hist.receive_pair_count >= 71
 
 
 def test_deterministic_bytes(tmp_path):
