@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 
 from .errors import DataError, NotFoundError
+from .serialize import write_artifact
 
 HOUR = 3600
 
@@ -443,7 +444,5 @@ def load_labels(path) -> dict[str, int]:
 
 
 def write_labels(labels: dict[str, int], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("address,label\n")
-        for addr in sorted(labels):
-            fh.write(f"{addr},{labels[addr]}\n")
+    write_artifact(path, "address,label\n"
+                   + "".join(f"{addr},{labels[addr]}\n" for addr in sorted(labels)))

@@ -15,10 +15,8 @@ from __future__ import annotations
 import hashlib
 import heapq
 import math
-import os
 from collections.abc import Iterable
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -26,6 +24,7 @@ from .chain import HOUR, TxStore
 from .errors import DataError
 from .paths import (AssetTransferPath, ForwardTrace, PathParams, backward_paths,
                     path_sets_for_address)
+from .serialize import open_artifact, write_json
 
 SCHEMA_VERSION = 1
 
@@ -448,54 +447,47 @@ def feature_timeline_rebuilt(store: TxStore, address: str, hours: int = 24,
 
 
 def write_feature_csv(path, timelines: Iterable[FeatureTimeline]) -> None:
-    """Write the feature file through a temporary file and ``os.replace``, so
-    a failed write leaves any earlier file untouched.  ``timelines`` is
-    iterated once, so a generator streams through with one timeline held."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(f"# schema_sha256={SCHEMA_HASH}\n")
-            fh.write("address,t_index,label," + ",".join(FULL_SCHEMA) + "\n")
-            # A cell's text is reused while its bits equal the cell above
-            # (for a first row, the previous timeline's last row); bits, not
-            # ==, tell -0.0 from 0.0 and match NaN to NaN.
-            cells = [""] * len(FULL_SCHEMA)
-            above = None
-            for tl in timelines:
-                matrix = np.ascontiguousarray(tl.matrix, dtype=np.float64)
-                if not matrix.shape[0]:
-                    continue
-                bits = matrix.view(np.int64)
-                changed = np.empty(bits.shape, dtype=bool)
-                np.not_equal(bits[1:], bits[:-1], out=changed[1:])
-                if above is None:
-                    changed[0] = True
-                else:
-                    np.not_equal(bits[0], above, out=changed[0])
-                above = bits[-1]
-                rows, cols = np.nonzero(changed)
-                # Each distinct value is formatted once per timeline; repr of
-                # a Python float is what fmt_float gives a numpy scalar.
-                values, which = np.unique(bits[rows, cols], return_inverse=True)
-                texts = list(map(repr, values.view(np.float64).tolist()))
-                texts = list(map(texts.__getitem__, which.tolist()))
-                cols = cols.tolist()
-                ends = np.cumsum(np.bincount(rows, minlength=matrix.shape[0])).tolist()
-                head = f"{tl.address},"
-                label = "" if tl.label is None else str(tl.label)
-                lines = []
-                start = 0
-                for t, end in enumerate(ends, start=1):
-                    for j, text in zip(cols[start:end], texts[start:end]):
-                        cells[j] = text
-                    start = end
-                    lines.append(f"{head}{t},{label},{','.join(cells)}\n")
-                fh.write("".join(lines))
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    """Write the feature file atomically; a failed write leaves any earlier
+    file untouched.  ``timelines`` is iterated once, so a generator streams
+    through with one timeline held."""
+    with open_artifact(path) as fh:
+        fh.write(f"# schema_sha256={SCHEMA_HASH}\n")
+        fh.write("address,t_index,label," + ",".join(FULL_SCHEMA) + "\n")
+        # A cell's text is reused while its bits equal the cell above
+        # (for a first row, the previous timeline's last row); bits, not
+        # ==, tell -0.0 from 0.0 and match NaN to NaN.
+        cells = [""] * len(FULL_SCHEMA)
+        above = None
+        for tl in timelines:
+            matrix = np.ascontiguousarray(tl.matrix, dtype=np.float64)
+            if not matrix.shape[0]:
+                continue
+            bits = matrix.view(np.int64)
+            changed = np.empty(bits.shape, dtype=bool)
+            np.not_equal(bits[1:], bits[:-1], out=changed[1:])
+            if above is None:
+                changed[0] = True
+            else:
+                np.not_equal(bits[0], above, out=changed[0])
+            above = bits[-1]
+            rows, cols = np.nonzero(changed)
+            # Each distinct value is formatted once per timeline; repr of
+            # a Python float is what fmt_float gives a numpy scalar.
+            values, which = np.unique(bits[rows, cols], return_inverse=True)
+            texts = list(map(repr, values.view(np.float64).tolist()))
+            texts = list(map(texts.__getitem__, which.tolist()))
+            cols = cols.tolist()
+            ends = np.cumsum(np.bincount(rows, minlength=matrix.shape[0])).tolist()
+            head = f"{tl.address},"
+            label = "" if tl.label is None else str(tl.label)
+            lines = []
+            start = 0
+            for t, end in enumerate(ends, start=1):
+                for j, text in zip(cols[start:end], texts[start:end]):
+                    cells[j] = text
+                start = end
+                lines.append(f"{head}{t},{label},{','.join(cells)}\n")
+            fh.write("".join(lines))
 
 
 def read_feature_csv(path, addresses=None) -> list[FeatureTimeline]:
@@ -531,14 +523,9 @@ def read_feature_csv(path, addresses=None) -> list[FeatureTimeline]:
 
 
 def write_schema_json(path) -> None:
-    import json
-
-    payload = {
+    write_json(path, {
         "version": SCHEMA_VERSION,
         "schema_sha256": SCHEMA_HASH,
         "full_schema": list(FULL_SCHEMA),
         "seed_schema": list(SEED_SCHEMA),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })

@@ -8,6 +8,7 @@ inspection.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import struct
 from dataclasses import dataclass
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError, DataError
+from ..serialize import open_artifact, write_json
 
 MAGIC = b"CSIN1\n"
 
@@ -153,24 +155,12 @@ def unflatten_params(template: dict[str, np.ndarray], flat: np.ndarray) -> dict[
 def save_params(path, params: dict[str, np.ndarray], dims: Dims,
                 config: IntentionConfig) -> None:
     header = {
-        "dims": {
-            "d_f": dims.d_f, "k_status": dims.k_status, "k_action": dims.k_action,
-            "d_e": dims.d_e, "d_z": dims.d_z, "d_h": dims.d_h,
-            "use_idx": dims.use_idx,
-        },
-        "config": {
-            "d_e": config.d_e, "d_z": config.d_z, "d_h": config.d_h,
-            "gamma_v": config.gamma_v, "gamma_c": config.gamma_c,
-            "gamma_e": config.gamma_e, "recon_weight": config.recon_weight,
-            "learning_rate": config.learning_rate, "epochs": config.epochs,
-            "batch_size": config.batch_size, "seed": config.seed,
-            "death_eps": config.death_eps,
-            "use_index_embedding": config.use_index_embedding,
-        },
+        "dims": dataclasses.asdict(dims),
+        "config": dataclasses.asdict(config),
         "arrays": [{"name": k, "shape": list(v.shape)} for k, v in params.items()],
     }
     header_bytes = json.dumps(header, sort_keys=True).encode()
-    with open(path, "wb") as fh:
+    with open_artifact(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(header_bytes)))
         fh.write(header_bytes)
@@ -193,16 +183,10 @@ def load_params(path):
             if len(buf) != 8 * n:
                 raise DataError(f"{path}: truncated parameter payload")
             params[spec["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
-    d = header["dims"]
-    dims = Dims(d["d_f"], d["k_status"], d["k_action"], d["d_e"], d["d_z"],
-                d["d_h"], d["use_idx"])
-    config = IntentionConfig(**header["config"])
-    return params, dims, config
+    return params, Dims(**header["dims"]), IntentionConfig(**header["config"])
 
 
 def save_params_json(path, params: dict[str, np.ndarray]) -> None:
     payload = {k: [repr(float(x)) for x in v.ravel()] for k, v in params.items()}
     shapes = {k: list(v.shape) for k, v in params.items()}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"shapes": shapes, "values": payload}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, {"shapes": shapes, "values": payload})

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
-from .serialize import fmt_float
+from .serialize import fmt_float, open_artifact
 
 NO_CONFIDENCE = None
 
@@ -153,7 +153,7 @@ def evaluate(addresses, p_malicious: np.ndarray, labels: np.ndarray) -> EvalRepo
 
 
 def write_eval_csv(path, report: EvalReport) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_artifact(path) as fh:
         fh.write("t_index,accuracy,precision,recall,f1\n")
         s = report.step_scores
         for t in range(s.f1.size):
@@ -162,7 +162,7 @@ def write_eval_csv(path, report: EvalReport) -> None:
 
 
 def write_survival_csv(path, addresses, survival: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_artifact(path) as fh:
         fh.write("address,t_index,survival\n")
         for i, addr in enumerate(addresses):
             for t in range(survival.shape[1]):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import json
 from collections.abc import Iterator
@@ -32,7 +33,7 @@ from .metrics import evaluate, write_eval_csv, write_survival_csv
 from .paths import PathParams, path_sets_for_address
 from .segmentation import (SegmentationPlan, SegmentationPlanner,
                            segment_representations)
-from .serialize import fmt_float
+from .serialize import fmt_float, open_artifact, write_artifact, write_json
 from .selection import FeatureSpec, dtsc_loop, materialize_features
 from .synth import ScenarioSpec, generate, write_universe
 
@@ -114,32 +115,6 @@ class GbtConfig:
 
 
 @dataclass(frozen=True, slots=True)
-class IntentionStageConfig:
-    d_e: int = 16
-    d_z: int = 3
-    d_h: int = 32
-    gamma_v: float = 1.0
-    gamma_c: float = 1.0
-    gamma_e: float = 1.0
-    recon_weight: float = 1.0
-    learning_rate: float = 1e-3
-    epochs: int = 50
-    batch_size: int = 64
-    death_eps: float = 0.01
-    use_index_embedding: bool = False
-
-    def to_intention_config(self, seed: int) -> IntentionConfig:
-        return IntentionConfig(
-            d_e=self.d_e, d_z=self.d_z, d_h=self.d_h,
-            gamma_v=self.gamma_v, gamma_c=self.gamma_c, gamma_e=self.gamma_e,
-            recon_weight=self.recon_weight, learning_rate=self.learning_rate,
-            epochs=self.epochs, batch_size=self.batch_size, seed=seed,
-            death_eps=self.death_eps,
-            use_index_embedding=self.use_index_embedding,
-        )
-
-
-@dataclass(frozen=True, slots=True)
 class SplitConfig:
     holdout_fraction: float = 0.25
 
@@ -155,27 +130,21 @@ class PipelineConfig:
     segmentation: SegmentationConfig = field(default_factory=SegmentationConfig)
     catalogs: CatalogConfig = field(default_factory=CatalogConfig)
     gbt: GbtConfig = field(default_factory=GbtConfig)
-    intention: IntentionStageConfig = field(default_factory=IntentionStageConfig)
+    intention: IntentionConfig = field(default_factory=IntentionConfig)
     split: SplitConfig = field(default_factory=SplitConfig)
 
 
-_SECTION_TYPES = {
-    "data": DataConfig,
-    "scenario": ScenarioConfig,
-    "paths": PathStageConfig,
-    "selection": SelectionConfig,
-    "segmentation": SegmentationConfig,
-    "catalogs": CatalogConfig,
-    "gbt": GbtConfig,
-    "intention": IntentionStageConfig,
-    "split": SplitConfig,
-}
+# Each section's type is the default factory of its ``PipelineConfig`` field.
+_SECTION_TYPES = {f.name: f.default_factory for f in dataclasses.fields(PipelineConfig)
+                  if f.default_factory is not dataclasses.MISSING}
 
 
 def _build_section(cls, payload: dict, context: str):
     if not isinstance(payload, dict):
         raise ConfigError(f"{context}: expected an object")
     names = {f.name for f in dataclasses.fields(cls)}
+    if cls is IntentionConfig:
+        names.discard("seed")  # the run has one seed, the top-level one
     unknown = set(payload) - names
     if unknown:
         raise ConfigError(f"{context}: unknown keys {sorted(unknown)}")
@@ -210,7 +179,71 @@ def load_config(path_or_payload) -> PipelineConfig:
     return cfg
 
 
-# -- manifest ------------------------------------------------------------------
+# -- the stage table ------------------------------------------------------------
+
+
+@dataclass(frozen=True, slots=True)
+class Stage:
+    """The files one stage reads and writes, relative to the output directory.
+
+    ``{transactions}`` and ``{labels}`` stand for the ``DataConfig`` file
+    names, a write ending in "/" for every file in that directory, and a read
+    ending in "?" for a file the stage uses only when it is present.  ``jobs``
+    marks the stage that takes a worker count.
+    """
+
+    reads: tuple[str, ...]
+    writes: tuple[str, ...]
+    jobs: bool = False
+
+
+_SOURCE = ("{transactions}", "{labels}")
+_FEATURES = "features/features.csv"
+_CATALOGS = ("catalog_status.json", "catalog_action.json")
+_MODELS = ("gbt_status.json", "gbt_action.json", "intention_model.bin")
+
+STAGE_TABLE = {
+    "synth": Stage((), (*_SOURCE, "scenario.json")),
+    "ingest": Stage(_SOURCE, ("ingest_report.json",)),
+    "paths": Stage(_SOURCE, ("paths/",)),
+    "features": Stage(_SOURCE, (_FEATURES, "features/schema.json",
+                                "features/features_report.json"), jobs=True),
+    "select": Stage((_FEATURES,), ("split.json", "featurespec.json")),
+    "segment": Stage((_FEATURES, "split.json", "featurespec.json"),
+                     ("plan.json", *_CATALOGS)),
+    "train": Stage((_FEATURES, "split.json", "featurespec.json", "plan.json", *_CATALOGS),
+                   (*_MODELS, "intention_model.json", "train_report.json")),
+    "predict": Stage((_FEATURES, "featurespec.json", "plan.json", *_CATALOGS, *_MODELS),
+                     ("predictions.csv",)),
+    "eval": Stage(("predictions.csv", "{labels}", "split.json?"),
+                  ("eval_report.json", "eval_report.csv", "survival_curves.csv")),
+}
+STAGES = tuple(STAGE_TABLE)
+
+
+def _files(config: PipelineConfig, names) -> list[str]:
+    data = {"transactions": config.data.transactions, "labels": config.data.labels}
+    return [name.format_map(data) for name in names]
+
+
+def _writers(config: PipelineConfig) -> dict[str, str]:
+    return {rel: stage for stage, row in STAGE_TABLE.items()
+            for rel in _files(config, row.writes)}
+
+
+def _require(config: PipelineConfig, out_dir: Path, names) -> list[str]:
+    """The files among ``names`` that exist.  A missing file that is not
+    optional raises ``DataError`` naming the stage that writes it."""
+    present = []
+    for rel in _files(config, names):
+        optional = rel.endswith("?")
+        rel = rel.rstrip("?")
+        if (out_dir / rel).exists():
+            present.append(rel)
+        elif not optional:
+            raise DataError(f"missing artifact {Path(rel).name}; "
+                            f"run the '{_writers(config)[rel]}' stage first")
+    return present
 
 
 def _sha256(path: Path) -> str:
@@ -221,29 +254,66 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def record_stage(out_dir: Path, stage: str, inputs: list[Path], outputs: list[Path]) -> None:
-    manifest_path = out_dir / "manifest.json"
-    manifest = {}
-    if manifest_path.exists():
-        manifest = json.loads(manifest_path.read_text())
+def _load_manifest(out_dir: Path) -> dict:
+    path = out_dir / "manifest.json"
+    return json.loads(path.read_text()) if path.exists() else {}
+
+
+def _refuse_stale(config: PipelineConfig, out_dir: Path, reads: list[str], sha) -> None:
+    """Refuse an input whose writer recorded input hashes that no longer match
+    the files.  A writer that recorded no inputs (``synth``) makes source
+    data, which may be edited; a file with no manifest entry passes."""
+    manifest = _load_manifest(out_dir)
+    writers = _writers(config)
+    for rel in reads:
+        writer = writers[rel]
+        recorded = manifest.get(writer, {}).get("inputs", {})
+        for src in _files(config, STAGE_TABLE[writer].reads):
+            src = src.rstrip("?")
+            want = recorded.get(Path(src).name)
+            if want is not None and (not (out_dir / src).exists() or sha(src) != want):
+                raise DataError(f"{rel} is stale: {src} has changed since the "
+                                f"'{writer}' stage ran; re-run the '{writer}' stage")
+
+
+def record_stage(out_dir: Path, stage: str, inputs: dict[str, str],
+                 outputs: list[Path]) -> None:
+    """Store the stage's input hashes and its outputs' hashes, by file name."""
+    manifest = _load_manifest(out_dir)
     manifest[stage] = {
-        "inputs": {p.name: _sha256(p) for p in inputs if p.exists()},
+        "inputs": inputs,
         "outputs": {p.name: _sha256(p) for p in outputs if p.exists()},
     }
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_json(out_dir / "manifest.json", manifest)
 
 
-def _require(path: Path, stage_hint: str) -> Path:
-    if not path.exists():
-        raise DataError(
-            f"missing artifact {path.name}; run the '{stage_hint}' stage first"
-        )
-    return path
+def _stage(body):
+    """A stage from its body: refuse missing or stale inputs, run the body,
+    then record the hashes of what the stage's table row reads and writes.
+    Each file is hashed at most once per call."""
+    name = body.__name__.removeprefix("stage_")
+    row = STAGE_TABLE[name]
+
+    @functools.wraps(body)
+    def stage(config: PipelineConfig, out_dir, *args, **kwargs):
+        out_dir = Path(out_dir)
+        sha = functools.cache(lambda rel: _sha256(out_dir / rel))
+        reads = _require(config, out_dir, row.reads)
+        if reads:
+            _refuse_stale(config, out_dir, reads, sha)
+        result = body(config, out_dir, *args, **kwargs)
+        outputs = [p for rel in _files(config, row.writes)
+                   for p in (sorted((out_dir / rel).iterdir()) if rel.endswith("/")
+                             else [out_dir / rel])]
+        record_stage(out_dir, name, {Path(rel).name: sha(rel) for rel in reads}, outputs)
+        return result
+    return stage
 
 
 # -- stages -------------------------------------------------------------------
 
 
+@_stage
 def stage_synth(config: PipelineConfig, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     specs = [ScenarioSpec(**s) for s in config.scenario.specs]
@@ -251,26 +321,16 @@ def stage_synth(config: PipelineConfig, out_dir: Path) -> None:
         specs, config.seed, config.scenario.noise_level,
         config.scenario.jitter_seconds, config.scenario.stagger_hours,
     )
-    scenario_payload = {
-        "specs": [dict(s) for s in config.scenario.specs],
-        "noise_level": config.scenario.noise_level,
-        "jitter_seconds": config.scenario.jitter_seconds,
-        "stagger_hours": config.scenario.stagger_hours,
-        "seed": config.seed,
-    }
-    write_universe(out_dir, records, labels, meta, scenario_payload)
-    record_stage(out_dir, "synth", [],
-                 [out_dir / "transactions.jsonl", out_dir / "labels.csv",
-                  out_dir / "scenario.json"])
+    write_universe(out_dir, records, labels, meta,
+                   {**dataclasses.asdict(config.scenario), "seed": config.seed})
 
 
 def load_store(config: PipelineConfig, out_dir: Path) -> TxStore:
-    tx_path = _require(out_dir / config.data.transactions, "synth")
-    labels_path = _require(out_dir / config.data.labels, "synth")
-    labels = load_labels(labels_path)
-    return parse_transactions_file(tx_path, labels)
+    labels = load_labels(out_dir / config.data.labels)
+    return parse_transactions_file(out_dir / config.data.transactions, labels)
 
 
+@_stage
 def stage_ingest(config: PipelineConfig, out_dir: Path) -> dict:
     store = load_store(config, out_dir)
     report = {
@@ -286,14 +346,11 @@ def stage_ingest(config: PipelineConfig, out_dir: Path) -> dict:
         "boundary_inputs": store.report.boundary_inputs,
         "ambiguous_owners": store.report.ambiguous_owners,
     }
-    path = out_dir / "ingest_report.json"
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    record_stage(out_dir, "ingest",
-                 [out_dir / config.data.transactions, out_dir / config.data.labels],
-                 [path])
+    write_json(out_dir / "ingest_report.json", report)
     return report
 
 
+@_stage
 def stage_paths(config: PipelineConfig, out_dir: Path,
                 addresses: list[str] | None = None) -> None:
     """Dump the four path sets per labeled address at the end of the window."""
@@ -302,7 +359,6 @@ def stage_paths(config: PipelineConfig, out_dir: Path,
     paths_dir = out_dir / "paths"
     paths_dir.mkdir(parents=True, exist_ok=True)
     targets = sorted(addresses or store.labels)
-    outputs = []
     for address in targets:
         events = [store.tx(t).timestamp for t in store.receive_txs(address)]
         events += [store.tx(t).timestamp for t in store.spend_txs(address)]
@@ -310,8 +366,7 @@ def stage_paths(config: PipelineConfig, out_dir: Path,
             continue
         t_now = min(events) + config.hours * 3600
         sets = path_sets_for_address(store, address, t_now, params)
-        dump = paths_dir / f"{address}.jsonl"
-        with open(dump, "w", encoding="utf-8") as fh:
+        with open_artifact(paths_dir / f"{address}.jsonl") as fh:
             for set_name in ("lt_bk", "st_bk", "lt_fr", "st_fr"):
                 ps = sets[set_name]
                 for p in sorted(ps.paths, key=lambda q: q.key):
@@ -322,10 +377,6 @@ def stage_paths(config: PipelineConfig, out_dir: Path,
                         "score": repr(p.score),
                         "hops": [[h[0], repr(h[1]), h[2]] for h in p.hops],
                     }, sort_keys=True) + "\n")
-        outputs.append(dump)
-    record_stage(out_dir, "paths",
-                 [out_dir / config.data.transactions, out_dir / config.data.labels],
-                 outputs)
 
 
 _WORKER_STATE: dict = {}
@@ -387,6 +438,7 @@ def iter_timelines(store: TxStore, addresses: list[str], hours: int,
         _WORKER_STATE.clear()
 
 
+@_stage
 def stage_features(config: PipelineConfig, out_dir: Path, jobs: int = 1) -> dict:
     """Stream every labelled address's timeline into ``features.csv``.
 
@@ -422,17 +474,12 @@ def stage_features(config: PipelineConfig, out_dir: Path, jobs: int = 1) -> dict
         write_feature_csv(features_dir / "features.csv", stream)
     write_schema_json(features_dir / "schema.json")
     report = {"featurized": len(addresses), "skipped": skipped, "truncated": truncated}
-    report_path = features_dir / "features_report.json"
-    report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    record_stage(out_dir, "features",
-                 [out_dir / config.data.transactions, out_dir / config.data.labels],
-                 [features_dir / "features.csv", features_dir / "schema.json", report_path])
+    write_json(features_dir / "features_report.json", report)
     return report
 
 
 def _load_timelines(out_dir: Path, addresses=None) -> list[FeatureTimeline]:
-    path = _require(out_dir / "features" / "features.csv", "features")
-    timelines = read_feature_csv(path, addresses)
+    timelines = read_feature_csv(out_dir / _FEATURES, addresses)
     timelines.sort(key=lambda tl: tl.address)
     return timelines
 
@@ -445,13 +492,12 @@ def _split_addresses(config: PipelineConfig, timelines) -> tuple[list[str], list
     return [addresses[i] for i in train_idx], [addresses[i] for i in holdout_idx]
 
 
+@_stage
 def stage_select(config: PipelineConfig, out_dir: Path) -> FeatureSpec:
     timelines = _load_timelines(out_dir)
     train_addrs, holdout_addrs = _split_addresses(config, timelines)
-    split_path = out_dir / "split.json"
-    split_path.write_text(json.dumps(
-        {"train": train_addrs, "holdout": holdout_addrs, "seed": config.seed},
-        indent=2, sort_keys=True) + "\n")
+    write_json(out_dir / "split.json",
+               {"train": train_addrs, "holdout": holdout_addrs, "seed": config.seed})
     train_set = set(train_addrs)
     rows = np.vstack([tl.matrix for tl in timelines if tl.address in train_set])
     y = np.concatenate([
@@ -462,34 +508,26 @@ def stage_select(config: PipelineConfig, out_dir: Path) -> FeatureSpec:
     spec = dtsc_loop(rows, y, sel.theta_c, sel.runs_per_round, sel.max_rounds,
                      sel.tree_max_depth, sel.tree_min_samples_leaf,
                      sel.val_fraction)
-    spec_path = out_dir / "featurespec.json"
-    spec_path.write_text(spec.to_json() + "\n")
-    record_stage(out_dir, "select",
-                 [out_dir / "features" / "features.csv"],
-                 [spec_path, split_path])
+    write_artifact(out_dir / "featurespec.json", spec.to_json() + "\n")
     return spec
 
 
-def _load_featurespec(out_dir: Path) -> FeatureSpec:
-    return FeatureSpec.from_json(_require(out_dir / "featurespec.json", "select").read_text())
+def _train_addresses(out_dir: Path) -> list[str]:
+    return json.loads((out_dir / "split.json").read_text())["train"]
 
 
-def _load_split(out_dir: Path) -> tuple[list[str], list[str]]:
-    payload = json.loads(_require(out_dir / "split.json", "select").read_text())
-    return payload["train"], payload["holdout"]
-
-
+@_stage
 def stage_segment(config: PipelineConfig, out_dir: Path) -> None:
     timelines = _load_timelines(out_dir)
-    spec = _load_featurespec(out_dir)
-    train_addrs, _ = _load_split(out_dir)
+    spec = FeatureSpec.from_json((out_dir / "featurespec.json").read_text())
+    train_addrs = _train_addresses(out_dir)
     materialized = {
         tl.address: materialize_features(spec, tl.matrix) for tl in timelines
     }
     planner = SegmentationPlanner(config.segmentation.theta_s, config.segmentation.delta)
     planner.fit([materialized[a] for a in train_addrs])
     plan = planner.plan_
-    (out_dir / "plan.json").write_text(plan.to_json() + "\n")
+    write_artifact(out_dir / "plan.json", plan.to_json() + "\n")
 
     g_rows, d_rows = [], []
     for addr in train_addrs:
@@ -504,12 +542,8 @@ def stage_segment(config: PipelineConfig, out_dir: Path) -> None:
                            cat_cfg.max_fit_vectors, config.seed).fit(g_all, names)
     action = VectorCatalog(cat_cfg.k_action, cat_cfg.explainer_max_depth,
                            cat_cfg.max_fit_vectors, config.seed).fit(d_all, names)
-    (out_dir / "catalog_status.json").write_text(status.to_json() + "\n")
-    (out_dir / "catalog_action.json").write_text(action.to_json() + "\n")
-    record_stage(out_dir, "segment",
-                 [out_dir / "features" / "features.csv", out_dir / "featurespec.json"],
-                 [out_dir / "plan.json", out_dir / "catalog_status.json",
-                  out_dir / "catalog_action.json"])
+    write_artifact(out_dir / "catalog_status.json", status.to_json() + "\n")
+    write_artifact(out_dir / "catalog_action.json", action.to_json() + "\n")
 
 
 @dataclass(slots=True)
@@ -523,13 +557,10 @@ class SequenceContext:
 
     @classmethod
     def load(cls, out_dir: Path) -> "SequenceContext":
-        spec = _load_featurespec(out_dir)
-        plan = SegmentationPlan.from_json(_require(out_dir / "plan.json", "segment").read_text())
-        status = VectorCatalog.from_json(
-            _require(out_dir / "catalog_status.json", "segment").read_text())
-        action = VectorCatalog.from_json(
-            _require(out_dir / "catalog_action.json", "segment").read_text())
-        return cls(spec, plan, status, action)
+        return cls(FeatureSpec.from_json((out_dir / "featurespec.json").read_text()),
+                   SegmentationPlan.from_json((out_dir / "plan.json").read_text()),
+                   VectorCatalog.from_json((out_dir / "catalog_status.json").read_text()),
+                   VectorCatalog.from_json((out_dir / "catalog_action.json").read_text()))
 
     def sequences(self, timelines: list[FeatureTimeline]):
         """Returns (features, status_vec, action_vec, status_idx, action_idx,
@@ -564,10 +595,11 @@ class SequenceContext:
                              labels, addrs)
 
 
+@_stage
 def stage_train(config: PipelineConfig, out_dir: Path) -> None:
     timelines = _load_timelines(out_dir)
     ctx = SequenceContext.load(out_dir)
-    train_addrs, _ = _load_split(out_dir)
+    train_addrs = _train_addresses(out_dir)
     train_set = set(train_addrs)
     train_tl = [tl for tl in timelines if tl.address in train_set]
 
@@ -581,43 +613,35 @@ def stage_train(config: PipelineConfig, out_dir: Path) -> None:
     )
     gbt_status = GBTClassifier(**gbt_kwargs).fit(svecs.reshape(B * T, D), flat_labels)
     gbt_action = GBTClassifier(**gbt_kwargs).fit(avecs.reshape(B * T, D), flat_labels)
-    (out_dir / "gbt_status.json").write_text(gbt_status.to_json() + "\n")
-    (out_dir / "gbt_action.json").write_text(gbt_action.to_json() + "\n")
+    write_artifact(out_dir / "gbt_status.json", gbt_status.to_json() + "\n")
+    write_artifact(out_dir / "gbt_action.json", gbt_action.to_json() + "\n")
 
     batch = ctx.batch(train_tl, gbt_status, gbt_action)
-    net = IntentionNetwork(config.intention.to_intention_config(config.seed))
+    net = IntentionNetwork(dataclasses.replace(config.intention, seed=config.seed))
     net.fit(batch, ctx.status.n_clusters, ctx.action.n_clusters)
     save_params(out_dir / "intention_model.bin", net.params_, net.dims_, net.config)
     save_params_json(out_dir / "intention_model.json", net.params_)
-    (out_dir / "train_report.json").write_text(json.dumps({
+    write_json(out_dir / "train_report.json", {
         "epoch_losses": [repr(v) for v in net.epoch_losses_],
         "gbt_status_final_loss": repr(gbt_status.train_losses_[-1]) if gbt_status.train_losses_ else None,
         "gbt_action_final_loss": repr(gbt_action.train_losses_[-1]) if gbt_action.train_losses_ else None,
-    }, indent=2, sort_keys=True) + "\n")
-    record_stage(out_dir, "train",
-                 [out_dir / "featurespec.json", out_dir / "plan.json",
-                  out_dir / "catalog_status.json", out_dir / "catalog_action.json"],
-                 [out_dir / "gbt_status.json", out_dir / "gbt_action.json",
-                  out_dir / "intention_model.bin", out_dir / "intention_model.json",
-                  out_dir / "train_report.json"])
+    })
 
 
 def _load_models(out_dir: Path):
-    gbt_status = GBTClassifier.from_json(
-        _require(out_dir / "gbt_status.json", "train").read_text())
-    gbt_action = GBTClassifier.from_json(
-        _require(out_dir / "gbt_action.json", "train").read_text())
-    params, dims, icfg = load_params(_require(out_dir / "intention_model.bin", "train"))
+    gbt_status = GBTClassifier.from_json((out_dir / "gbt_status.json").read_text())
+    gbt_action = GBTClassifier.from_json((out_dir / "gbt_action.json").read_text())
+    params, dims, icfg = load_params(out_dir / "intention_model.bin")
     return gbt_status, gbt_action, params, dims, icfg
 
 
+@_stage
 def stage_predict(config: PipelineConfig, out_dir: Path) -> None:
     timelines = _load_timelines(out_dir)
     ctx = SequenceContext.load(out_dir)
     gbt_status, gbt_action, params, dims, icfg = _load_models(out_dir)
     batch = ctx.batch(timelines, gbt_status, gbt_action)
-    pred_path = out_dir / "predictions.csv"
-    with open(pred_path, "w", encoding="utf-8") as fh:
+    with open_artifact(out_dir / "predictions.csv") as fh:
         fh.write("address,t_index,p_malicious,survival,alpha_S,alpha_A,alpha_I,"
                  "intention_index\n")
         # Training-sized chunks: the forward pass keeps per-step caches for
@@ -635,10 +659,6 @@ def stage_predict(config: PipelineConfig, out_dir: Path) -> None:
                         f"{fmt_float(fw.alphas[i, t, 0])},{fmt_float(fw.alphas[i, t, 1])},"
                         f"{fmt_float(fw.alphas[i, t, 2])},{int(fw.intention_idx[i, t])}\n"
                     )
-    record_stage(out_dir, "predict",
-                 [out_dir / "features" / "features.csv",
-                  out_dir / "intention_model.bin"],
-                 [pred_path])
 
 
 def read_predictions(path) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, np.ndarray]:
@@ -665,10 +685,10 @@ def read_predictions(path) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, np.
     return addresses, p, s, ii
 
 
+@_stage
 def stage_eval(config: PipelineConfig, out_dir: Path) -> dict:
-    pred_path = _require(out_dir / "predictions.csv", "predict")
-    labels = load_labels(_require(out_dir / config.data.labels, "synth"))
-    addresses, p, s, _ = read_predictions(pred_path)
+    labels = load_labels(out_dir / config.data.labels)
+    addresses, p, s, _ = read_predictions(out_dir / "predictions.csv")
     for a in addresses:
         if a not in labels:
             raise DataError(f"predicted address {a!r} has no row in {config.data.labels}; "
@@ -686,20 +706,17 @@ def stage_eval(config: PipelineConfig, out_dir: Path) -> dict:
             if member:
                 sub = evaluate([addresses[i] for i in member], p[member], y[member])
                 payload[part] = json.loads(sub.to_json())
-    eval_path = out_dir / "eval_report.json"
-    eval_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_json(out_dir / "eval_report.json", payload)
     write_eval_csv(out_dir / "eval_report.csv", report_all)
     write_survival_csv(out_dir / "survival_curves.csv", addresses, s)
-    record_stage(out_dir, "eval",
-                 [pred_path, out_dir / config.data.labels],
-                 [eval_path, out_dir / "eval_report.csv",
-                  out_dir / "survival_curves.csv"])
     return payload
 
 
 def explain_address(config: PipelineConfig, out_dir: Path, address: str) -> str:
     """Human-readable interpretation: status/action sequences with decision
-    paths, the intention motif, and the survival trace."""
+    paths, the intention motif, and the survival trace.  It reads what
+    ``predict`` reads, without the stale-input check."""
+    _require(config, out_dir, STAGE_TABLE["predict"].reads)
     timelines = _load_timelines(out_dir, {address})
     if not timelines:
         raise NotFoundError(f"address {address!r} has no feature rows; run features")
@@ -743,35 +760,17 @@ def explain_address(config: PipelineConfig, out_dir: Path, address: str) -> str:
     lines.append("path sets at end of window: "
                  + ", ".join(f"{k}={v}" for k, v in sorted(counts.items())))
     text = "\n".join(lines) + "\n"
-    (out_dir / f"explain_{address}.txt").write_text(text)
+    write_artifact(out_dir / f"explain_{address}.txt", text)
     return text
-
-
-STAGES = ("synth", "ingest", "paths", "features", "select", "segment", "train",
-          "predict", "eval")
 
 
 def run_pipeline(config: PipelineConfig, out_dir: Path, jobs: int = 1,
                  stages=STAGES) -> None:
+    for name in stages:
+        if name not in STAGE_TABLE:
+            raise ConfigError(f"unknown stage {name!r}")
     out_dir = Path(out_dir)
-    for stage in stages:
-        if stage == "synth":
-            stage_synth(config, out_dir)
-        elif stage == "ingest":
-            stage_ingest(config, out_dir)
-        elif stage == "paths":
-            stage_paths(config, out_dir)
-        elif stage == "features":
-            stage_features(config, out_dir, jobs)
-        elif stage == "select":
-            stage_select(config, out_dir)
-        elif stage == "segment":
-            stage_segment(config, out_dir)
-        elif stage == "train":
-            stage_train(config, out_dir)
-        elif stage == "predict":
-            stage_predict(config, out_dir)
-        elif stage == "eval":
-            stage_eval(config, out_dir)
-        else:
-            raise ConfigError(f"unknown stage {stage!r}")
+    for name in stages:
+        # Looked up at call time, so a wrapper set on the module is the one run.
+        stage = globals()[f"stage_{name}"]
+        stage(config, out_dir, **({"jobs": jobs} if STAGE_TABLE[name].jobs else {}))

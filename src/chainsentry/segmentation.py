@@ -40,10 +40,7 @@ def propose_breakpoints(normalized: np.ndarray, theta_s: float, delta: float) ->
     breakpoints = []
     c_high = 0.0
     for j in range(1, T):
-        c_j = float(np.mean(
-            (normalized[:, j, :] - normalized[:, j - 1, :])
-            / (normalized[:, j - 1, :] + delta)
-        ))
+        c_j = change_ratio(normalized[:, j, :], normalized[:, j - 1, :], delta)
         if abs(c_j) > theta_s * c_high:
             breakpoints.append(j + 1)  # 1-based hour index
         c_high = max(c_high, abs(c_j))

@@ -18,13 +18,13 @@ scenario seed.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import serialize_transaction, TransactionRecord, TxInput, TxOutput
+from .chain import serialize_transaction, TransactionRecord, TxInput, TxOutput, write_labels
 from .errors import ConfigError, DataError
+from .serialize import open_artifact, write_json
 
 COIN = 100_000_000
 HOUR = 3600
@@ -347,16 +347,11 @@ def write_universe(out_dir, records, labels, meta, scenario_payload) -> None:
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "transactions.jsonl", "w", encoding="utf-8") as fh:
+    with open_artifact(out / "transactions.jsonl") as fh:
         for rec in records:
             fh.write(serialize_transaction(rec) + "\n")
-    from .chain import write_labels
-
     write_labels(labels, out / "labels.csv")
-    with open(out / "scenario.json", "w", encoding="utf-8") as fh:
-        json.dump({"scenario": scenario_payload, "meta": meta}, fh, indent=2,
-                  sort_keys=True)
-        fh.write("\n")
+    write_json(out / "scenario.json", {"scenario": scenario_payload, "meta": meta})
 
 
 def bulk_chain_records(n_transactions: int, seed: int = 0):

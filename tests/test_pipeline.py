@@ -1,8 +1,11 @@
 import hashlib
 import json
 import multiprocessing
+import os
 import shutil
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +17,7 @@ from chainsentry.pipeline import (STAGES, PipelineConfig, SequenceContext, load_
                                   read_predictions, run_pipeline,
                                   stage_features, stage_ingest, stage_paths,
                                   stage_eval, stage_predict, stage_select, stage_segment,
-                                  stage_synth, explain_address)
+                                  stage_synth, stage_train, explain_address)
 
 SMALL = {
     "seed": 5,
@@ -62,6 +65,19 @@ def test_unknown_config_keys_rejected():
         load_config({"bogus_section": {}})
     with pytest.raises(ConfigError, match="unknown keys"):
         load_config({"paths": {"lt_threshold": 0.5, "typo": 1}})
+
+
+def test_intention_section_is_checked_at_load_time():
+    with pytest.raises(ConfigError, match="death_eps"):
+        load_config({"intention": {"death_eps": 0.7}})
+    with pytest.raises(ConfigError, match="unknown keys.*seed"):
+        load_config({"intention": {"seed": 1}})
+
+
+def test_unknown_stage_is_refused_before_any_stage_runs(tmp_path):
+    with pytest.raises(ConfigError, match="unknown stage 'bogus'"):
+        run_pipeline(load_config(SMALL), tmp_path, stages=("synth", "bogus"))
+    assert not (tmp_path / "transactions.jsonl").exists()
 
 
 def test_stage_artifacts_exist(small_run):
@@ -287,3 +303,67 @@ def test_features_stage_holds_at_most_two_timelines(tmp_path, monkeypatch, jobs)
     stage_features(cfg, tmp_path, jobs=jobs)
     assert seen[0] == n and peak[0] <= 2
     assert multiprocessing.active_children() == []
+
+
+def _resynth(small_run, tmp_path):
+    cfg, out = small_run
+    copy = tmp_path / "copy"
+    shutil.copytree(out, copy)
+    cfg = load_config({**SMALL, "seed": 8})
+    stage_synth(cfg, copy)
+    return cfg, copy
+
+
+def test_new_transactions_make_old_features_stale(small_run, tmp_path):
+    cfg, copy = _resynth(small_run, tmp_path)
+    with pytest.raises(DataError, match="features.csv is stale.*re-run the 'features' stage"):
+        stage_train(cfg, copy)
+
+
+def test_new_features_make_the_old_selection_stale(small_run, tmp_path):
+    cfg, copy = _resynth(small_run, tmp_path)
+    stage_features(cfg, copy)
+    with pytest.raises(DataError, match="re-run the 'select' stage"):
+        stage_train(cfg, copy)
+
+
+_AUDIT = {"on": False, "reads": set(), "writes": set()}
+
+
+def _audit(event, args):
+    if not _AUDIT["on"]:
+        return
+    if event == "open":
+        path, mode, flags = args
+        # Hashing for the manifest is not a read by the stage.
+        if isinstance(path, int) or sys._getframe(1).f_code is pipeline._sha256.__code__:
+            return
+        reading = ("r" in mode and "+" not in mode) if mode else \
+            flags & os.O_ACCMODE == os.O_RDONLY
+        if reading:
+            _AUDIT["reads"].add(Path(os.fsdecode(path)).resolve())
+    elif event == "os.rename":
+        _AUDIT["writes"].add(Path(os.fsdecode(args[1])).resolve())
+
+
+def test_each_stage_reads_and_writes_what_its_manifest_entry_records(tmp_path):
+    """The stage table is what the manifest records, so a stage that opens a
+    file its row does not list, or renames a file into place that its row
+    does not list, fails here."""
+    sys.addaudithook(_audit)
+    cfg = load_config(SMALL)
+    out = tmp_path.resolve()
+    for name in STAGES:
+        _AUDIT.update(reads=set(), writes=set())
+        _AUDIT["on"] = True
+        try:
+            getattr(pipeline, f"stage_{name}")(cfg, out)
+        finally:
+            _AUDIT["on"] = False
+        entry = json.loads((out / "manifest.json").read_text())[name]
+        reads = {p.name for p in _AUDIT["reads"]
+                 if p.is_relative_to(out) and p.name != "manifest.json"}
+        writes = {p.name for p in _AUDIT["writes"]
+                  if p.is_relative_to(out) and p.name != "manifest.json"}
+        assert reads == set(entry["inputs"]), name
+        assert writes == set(entry["outputs"]), name
