@@ -18,6 +18,13 @@ and an earliness term +-S(t) pushing survival down for positives and up for
 negatives.  Gradients are computed analytically in reverse; they are checked
 against central finite differences in the test suite.
 
+Precision: every array the network makes takes the dtype of the batch's
+``features``, and the parameters are cast to that dtype once per call, so a
+float32 batch computes in float32 throughout and a float64 batch in float64.
+The pipeline's batches are float32; the optimizer keeps float64 master
+parameters (see ``train``), and the gradient checks and the per-step oracle
+run the same code on float64 batches.
+
 Only the LSTM cell recurrence runs step by step, with the three branches
 stacked as one (3, B, d_h) state so each step is one batched ``h @ U``.
 Everything else (embeddings, bottleneck, input projections, hazard and
@@ -62,7 +69,8 @@ class SequenceBatch:
     """Per-address aligned sequences over the observation window.
 
     Backbone probabilities are clipped away from {0, 1} on construction so
-    the fused prediction stays strictly inside (0, 1).
+    the fused prediction stays strictly inside (0, 1); the upper bound is
+    at least one ulp below 1 in the batch's dtype.
     """
 
     features: np.ndarray      # (B, T, d_f)
@@ -85,8 +93,9 @@ class SequenceBatch:
                 raise DataError(f"{name} shape mismatch")
         if self.labels.shape != (B,):
             raise DataError("labels shape mismatch")
-        self.p_status = np.clip(self.p_status, PROB_CLIP, 1.0 - PROB_CLIP)
-        self.p_action = np.clip(self.p_action, PROB_CLIP, 1.0 - PROB_CLIP)
+        hi = 1.0 - max(PROB_CLIP, float(np.finfo(self.p_status.dtype).epsneg))
+        self.p_status = np.clip(self.p_status, PROB_CLIP, hi)
+        self.p_action = np.clip(self.p_action, PROB_CLIP, hi)
 
     @property
     def n_addresses(self) -> int:
@@ -112,6 +121,16 @@ def _linear(x, W, b=None):
     return out if b is None else out + b
 
 
+def _linear_rowwise(x, W, b=None):
+    """``_linear`` for maps with a handful of outputs (the bottleneck heads
+    and the attention score).  BLAS computes such narrow products on groups
+    of rows, so a row's value would depend on how many rows share the call;
+    einsum sums each row on its own.  Inference runs in chunks of addresses
+    (``explain`` in chunks of one), and a row must not depend on its chunk."""
+    out = np.einsum("...i,oi->...o", x, W)
+    return out if b is None else out + b
+
+
 def _outer_sum(g, x):
     """Sum over the leading (step) axis of g[t].T @ x[t]: the weight gradient
     of a linear map applied at every step."""
@@ -130,9 +149,9 @@ def _lstm_forward(xw, U):
     d_h = four_h // 4
     UT = np.ascontiguousarray(U.swapaxes(1, 2))
     gates = np.empty_like(xw)
-    h = np.zeros((T + 1, K, B, d_h))
-    c = np.zeros((T + 1, K, B, d_h))
-    tc = np.empty((T, K, B, d_h))
+    h = np.zeros((T + 1, K, B, d_h), xw.dtype)
+    c = np.zeros((T + 1, K, B, d_h), xw.dtype)
+    tc = np.empty((T, K, B, d_h), xw.dtype)
     for t in range(T):
         pre = xw[t] + h[t] @ UT
         act = gates[t]
@@ -154,9 +173,9 @@ def _lstm_backward(lstm, U, gh_in):
     gates, c, tc = lstm["gates"], lstm["c"], lstm["tc"]
     T, K, B, d_h = tc.shape
     gates = gates.reshape(T, K, B, 4, d_h)
-    gpre = np.empty((T, K, B, 4 * d_h))
-    gh_carry = np.zeros((K, B, d_h))
-    gc_carry = np.zeros((K, B, d_h))
+    gpre = np.empty((T, K, B, 4 * d_h), tc.dtype)
+    gh_carry = np.zeros((K, B, d_h), tc.dtype)
+    gc_carry = np.zeros((K, B, d_h), tc.dtype)
     for t in range(T - 1, -1, -1):
         i, f, o, g = (gates[t, :, :, k] for k in range(4))
         gh = gh_in[t] + gh_carry
@@ -169,6 +188,10 @@ def _lstm_backward(lstm, U, gh_in):
         gh_carry = gpre[t] @ U
         gc_carry = gc * f
     return gpre
+
+
+def _cast(params: dict, dtype) -> dict:
+    return {k: v.astype(dtype, copy=False) for k, v in params.items()}
 
 
 def _stack(params, part):
@@ -195,17 +218,20 @@ class ForwardPass:
 
 def forward_pass(params: dict, batch: SequenceBatch, dims: Dims,
                  noise: np.ndarray | None = None) -> ForwardPass:
-    """Run the network over all steps; ``noise`` is (T, B, d_z) or None for
-    deterministic inference (z = mu)."""
+    """Run the network over all steps in the batch's dtype; ``noise`` is
+    (T, B, d_z) or None for deterministic inference (z = mu)."""
     B, T = batch.n_addresses, batch.n_steps
+    dtype = batch.features.dtype
+    params = _cast(params, dtype)
 
     # -- bottleneck --------------------------------------------------------
     sidx, aidx = batch.status_idx.T, batch.action_idx.T
     u = np.concatenate([params["emb_s"][sidx], params["emb_a"][aidx]], axis=2)
     x = np.tanh(_linear(u, params["enc_W"], params["enc_b"]))
-    mu = _linear(x, params["mu_W"], params["mu_b"])
-    sg = _linear(x, params["sg_W"], params["sg_b"])
-    e = noise if noise is not None else np.zeros((T, B, dims.d_z))
+    mu = _linear_rowwise(x, params["mu_W"], params["mu_b"])
+    sg = _linear_rowwise(x, params["sg_W"], params["sg_b"])
+    e = (np.zeros((T, B, dims.d_z), dtype) if noise is None
+         else noise.astype(dtype, copy=False))
     z = mu + np.exp(sg) * e
     dh = np.tanh(_linear(z, params["dec_W1"], params["dec_b1"]))
     xh = _linear(dh, params["dec_W2"], params["dec_b2"])
@@ -237,13 +263,14 @@ def forward_pass(params: dict, batch: SequenceBatch, dims: Dims,
               "a": np.concatenate([feats, av], axis=2),
               "i": np.concatenate([feats, zeff], axis=2)}
     q = {br: np.tanh(_linear(att_in[br], params[f"att_w_{br}"])) for br in att_in}
-    scores = np.stack([q[br] @ params["att_v"] for br in ("s", "a", "i")], axis=2)
+    scores = np.stack([_linear_rowwise(q[br], params["att_v"][None])[..., 0]
+                       for br in ("s", "a", "i")], axis=2)
     expa = np.exp(scores - scores.max(axis=2, keepdims=True))
     alpha = expa / expa.sum(axis=2, keepdims=True)
     y = (alpha[..., 0] * batch.p_status.T + alpha[..., 1] * batch.p_action.T
          + alpha[..., 2] * (1.0 - S))
-    p_hat = np.empty((T, B))
-    prev = np.full(B, 0.5)
+    p_hat = np.empty((T, B), dtype)
+    prev = np.full(B, 0.5, dtype)
     for t in range(T):
         prev = p_hat[t] = S[t] * y[t] + (1.0 - S[t]) * prev
 
@@ -256,14 +283,15 @@ def forward_pass(params: dict, batch: SequenceBatch, dims: Dims,
     )
 
 
-def _step_weights(T: int) -> np.ndarray:
-    return np.sqrt(np.arange(1.0, T + 1.0))
+def _step_weights(T: int, dtype) -> np.ndarray:
+    return np.sqrt(np.arange(1.0, T + 1.0)).astype(dtype)
 
 
 def loss_terms(batch: SequenceBatch, fw: ForwardPass, config: IntentionConfig):
     """Per-term sqrt(t)-weighted sums over the batch."""
-    w = _step_weights(batch.n_steps)
-    labels = batch.labels.astype(np.float64)
+    dtype = batch.features.dtype
+    w = _step_weights(batch.n_steps, dtype)
+    labels = batch.labels.astype(dtype)
     y, S = fw.y.T, fw.survival.T
     mu, sg = fw.cache["mu"], fw.cache["sg"]
     diff = fw.cache["xh"] - fw.cache["u"]
@@ -293,14 +321,17 @@ def compute_loss(params: dict, batch: SequenceBatch, dims: Dims,
 def compute_loss_and_grads(params: dict, batch: SequenceBatch, dims: Dims,
                            config: IntentionConfig,
                            noise: np.ndarray | None = None):
-    """Analytic gradients of the total training loss for every parameter."""
+    """Analytic gradients of the total training loss for every parameter,
+    in the batch's dtype."""
+    dtype = batch.features.dtype
+    params = _cast(params, dtype)
     fw = forward_pass(params, batch, dims, noise)
     terms = loss_terms(batch, fw, config)
     c = fw.cache
     T = batch.n_steps
     d_z, d_e, d_f = dims.d_z, dims.d_e, dims.d_f
-    labels = batch.labels.astype(np.float64)
-    w = _step_weights(T)[:, None]
+    labels = batch.labels.astype(dtype)
+    w = _step_weights(T, dtype)[:, None]
     y, S, alpha = fw.y.T, fw.survival.T, c["alpha"]
     grads: dict[str, np.ndarray] = {}
 
@@ -312,7 +343,7 @@ def compute_loss_and_grads(params: dict, batch: SequenceBatch, dims: Dims,
     gy[:-1] += hinge * (-(y[1:] - 0.5))
     galpha = gy[..., None] * np.stack(
         [batch.p_status.T, batch.p_action.T, 1.0 - S], axis=2)
-    gS = -gy * alpha[..., 2] + w * config.gamma_e * np.where(labels == 1, 1.0, -1.0)
+    gS = -gy * alpha[..., 2] + config.gamma_e * np.where(labels == 1, w, -w)
 
     # -- survival chain: hazard at step t feeds survival at every s >= t ------
     glam = np.cumsum((gS * -S)[::-1], axis=0)[::-1]

@@ -3,6 +3,11 @@
 Updates use Adam (per-parameter adaptive steps) on batch-mean gradients.
 Given the same data, config, and seed, the loss trace and final parameters
 are bit-reproducible.
+
+The parameters and Adam's moments are float64 master copies whatever the
+batch's dtype: the network computes in the batch's dtype, and its gradients
+are cast to float64 before each update.  The noise is drawn in float64, so
+the random stream does not depend on the dtype either.
 """
 from __future__ import annotations
 
@@ -63,7 +68,7 @@ def train(batch: SequenceBatch, dims: Dims, config: IntentionConfig,
             noise = rng.standard_normal((sub.n_steps, sub.n_addresses, dims.d_z))
             terms, grads, _ = compute_loss_and_grads(params, sub, dims, config, noise)
             total += terms["total"]
-            flat_grads = flatten_params(grads) / idx.size
+            flat_grads = flatten_params(grads).astype(np.float64) / idx.size
             flat = adam.update(flat, flat_grads, config.learning_rate)
             params = unflatten_params(params, flat)
         epoch_losses.append(total / n)

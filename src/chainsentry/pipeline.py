@@ -585,14 +585,18 @@ class SequenceContext:
                 np.stack(sidxs), np.stack(aidxs),
                 np.array(labels, dtype=np.int64), tuple(addrs))
 
-    def batch(self, timelines, gbt_status: GBTClassifier,
+    @staticmethod
+    def batch(sequences, gbt_status: GBTClassifier,
               gbt_action: GBTClassifier) -> SequenceBatch:
-        feats, svecs, avecs, sidxs, aidxs, labels, addrs = self.sequences(timelines)
+        """The network's float32 batch from what ``sequences`` returned; the
+        backbones score the float64 vectors."""
+        feats, svecs, avecs, sidxs, aidxs, labels, addrs = sequences
         B, T, D = svecs.shape
         p_s = gbt_status.predict_proba(svecs.reshape(B * T, D))[:, 1].reshape(B, T)
         p_a = gbt_action.predict_proba(avecs.reshape(B * T, D))[:, 1].reshape(B, T)
-        return SequenceBatch(feats, svecs, avecs, sidxs, aidxs, p_s, p_a,
-                             labels, addrs)
+        f32 = np.float32
+        return SequenceBatch(feats.astype(f32), svecs.astype(f32), avecs.astype(f32),
+                             sidxs, aidxs, p_s.astype(f32), p_a.astype(f32), labels, addrs)
 
 
 @_stage
@@ -603,7 +607,8 @@ def stage_train(config: PipelineConfig, out_dir: Path) -> None:
     train_set = set(train_addrs)
     train_tl = [tl for tl in timelines if tl.address in train_set]
 
-    feats, svecs, avecs, sidxs, aidxs, labels, addrs = ctx.sequences(train_tl)
+    sequences = ctx.sequences(train_tl)
+    _, svecs, avecs, _, _, labels, _ = sequences
     B, T, D = svecs.shape
     flat_labels = np.repeat(labels, T)
     gbt_kwargs = dict(
@@ -616,7 +621,7 @@ def stage_train(config: PipelineConfig, out_dir: Path) -> None:
     write_artifact(out_dir / "gbt_status.json", gbt_status.to_json() + "\n")
     write_artifact(out_dir / "gbt_action.json", gbt_action.to_json() + "\n")
 
-    batch = ctx.batch(train_tl, gbt_status, gbt_action)
+    batch = ctx.batch(sequences, gbt_status, gbt_action)
     net = IntentionNetwork(dataclasses.replace(config.intention, seed=config.seed))
     net.fit(batch, ctx.status.n_clusters, ctx.action.n_clusters)
     save_params(out_dir / "intention_model.bin", net.params_, net.dims_, net.config)
@@ -640,7 +645,7 @@ def stage_predict(config: PipelineConfig, out_dir: Path) -> None:
     timelines = _load_timelines(out_dir)
     ctx = SequenceContext.load(out_dir)
     gbt_status, gbt_action, params, dims, icfg = _load_models(out_dir)
-    batch = ctx.batch(timelines, gbt_status, gbt_action)
+    batch = ctx.batch(ctx.sequences(timelines), gbt_status, gbt_action)
     with open_artifact(out_dir / "predictions.csv") as fh:
         fh.write("address,t_index,p_malicious,survival,alpha_S,alpha_A,alpha_I,"
                  "intention_index\n")
@@ -722,7 +727,7 @@ def explain_address(config: PipelineConfig, out_dir: Path, address: str) -> str:
         raise NotFoundError(f"address {address!r} has no feature rows; run features")
     ctx = SequenceContext.load(out_dir)
     gbt_status, gbt_action, params, dims, icfg = _load_models(out_dir)
-    batch = ctx.batch(timelines, gbt_status, gbt_action)
+    batch = ctx.batch(ctx.sequences(timelines), gbt_status, gbt_action)
     fw = forward_pass(params, batch, dims, noise=None)
 
     s_idx = batch.status_idx[0]

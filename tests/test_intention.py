@@ -26,6 +26,13 @@ def make_batch(rng, B=2, T=4, d_f=3, k_status=3, k_action=3, labels=None):
                          np.asarray(labels, dtype=np.int64))
 
 
+def as_dtype(batch, dtype):
+    """The batch with its float arrays in ``dtype``, as the pipeline builds it."""
+    return SequenceBatch(*(getattr(batch, name).astype(dtype) for name in (
+        "features", "status_vec", "action_vec")), batch.status_idx, batch.action_idx,
+        batch.p_status.astype(dtype), batch.p_action.astype(dtype), batch.labels)
+
+
 def small_config(**kwargs):
     defaults = dict(d_e=3, d_z=2, d_h=4, learning_rate=1e-3, epochs=2,
                     batch_size=2, seed=0)
@@ -280,11 +287,11 @@ def test_network_matches_per_step_reference(use_idx, B, T, with_noise):
         assert np.abs(grads[key] - ref_grads[key]).max() <= 1e-10 * scale, key
 
 
-def test_forward_rows_do_not_depend_on_the_batch(rng):
+def _check_forward_rows(rng, dtype):
     # Inference runs in chunks of addresses; a row's outputs must not depend
     # on which other rows share its chunk.
     config = small_config(d_h=8)
-    batch = make_batch(rng, B=9, T=5)
+    batch = as_dtype(make_batch(rng, B=9, T=5), dtype)
     dims = dims_for(batch, config)
     params = init_params(dims, seed=12)
     whole = forward_pass(params, batch, dims)
@@ -294,6 +301,75 @@ def test_forward_rows_do_not_depend_on_the_batch(rng):
             np.testing.assert_allclose(getattr(part, name),
                                        getattr(whole, name)[rows],
                                        rtol=1e-12, atol=0, err_msg=name)
+
+
+def test_forward_rows_do_not_depend_on_the_batch(rng):
+    _check_forward_rows(rng, np.float64)
+
+
+def test_forward_rows_do_not_depend_on_the_batch_in_float32(rng):
+    _check_forward_rows(rng, np.float32)
+
+
+# -- precision ----------------------------------------------------------------------
+
+
+def test_float32_batch_keeps_backbone_probabilities_below_one(rng):
+    # 1 - 1e-12 rounds to 1.0 in float32; a backbone probability of exactly 1
+    # would give log(1 - y) = -inf for a benign address.
+    batch = make_batch(rng)
+    batch.p_status[:] = 1.0
+    batch = as_dtype(batch, np.float32)
+    assert batch.p_status.dtype == np.float32
+    assert (batch.p_status < 1.0).all() and (batch.p_action < 1.0).all()
+
+
+def _float_arrays(obj, path="cache"):
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _float_arrays(value, f"{path}.{key}")
+    elif isinstance(obj, np.ndarray) and obj.dtype.kind == "f":
+        yield path, obj
+
+
+def _default_size_case(rng, B=64, T=24):
+    """The default run's network (d_h 32, 3 branches, 4 selected columns,
+    16 clusters) on one training-sized minibatch, with float64 noise."""
+    config = IntentionConfig()
+    batch = make_batch(rng, B=B, T=T, d_f=4, k_status=16, k_action=16)
+    dims = dims_for(batch, config, k_status=16, k_action=16)
+    noise = rng.standard_normal((T, B, dims.d_z))
+    return config, batch, dims, init_params(dims, seed=3), noise
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_network_computes_in_the_batch_dtype(rng, dtype):
+    config, batch, dims, params, noise = _default_size_case(rng, B=5, T=6)
+    batch = as_dtype(batch, dtype)
+    _, grads, fw = compute_loss_and_grads(params, batch, dims, config, noise)
+    arrays = [(name, getattr(fw, name)) for name in
+              ("y", "p_hat", "survival", "hazard", "alphas", "z")]
+    arrays += list(_float_arrays(fw.cache))
+    arrays += [(f"grad {k}", v) for k, v in grads.items()]
+    assert len(arrays) > 40
+    wrong = [(name, a.dtype) for name, a in arrays if a.dtype != dtype]
+    assert not wrong
+    assert all(v.dtype == np.float64 for v in params.values())
+
+
+def test_float32_losses_and_gradients_track_float64(rng):
+    # Tolerance set from float32's epsilon (1.2e-7) before measuring: 100 eps
+    # on the total loss and on each parameter's gradient (relative L2 norm).
+    # Measured on this case: 1e-9 and at most 9e-7.
+    rtol = 100 * np.finfo(np.float32).eps
+    config, batch, dims, params, noise = _default_size_case(rng)
+    t64, g64, _ = compute_loss_and_grads(params, batch, dims, config, noise)
+    t32, g32, _ = compute_loss_and_grads(params, as_dtype(batch, np.float32), dims,
+                                         config, noise)
+    assert abs(t32["total"] - t64["total"]) <= rtol * abs(t64["total"])
+    for key in params:
+        err = np.linalg.norm(g32[key] - g64[key]) / np.linalg.norm(g64[key])
+        assert err <= rtol, key
 
 
 # -- gradient checks -----------------------------------------------------------------
@@ -405,15 +481,24 @@ def test_training_loss_decreases_on_separable_set(rng):
     assert all(b < a for a, b in zip(losses[:5], losses[1:6]))
 
 
-def test_training_bit_reproducible(rng):
-    batch = make_batch(rng, B=8, T=4)
+def _check_training_reproducible(rng, dtype):
+    batch = as_dtype(make_batch(rng, B=8, T=4), dtype)
     config = small_config(epochs=3, batch_size=4, seed=9)
     a = IntentionNetwork(config).fit(batch, 3, 3)
     b = IntentionNetwork(config).fit(batch, 3, 3)
     assert a.epoch_losses_ == b.epoch_losses_
     for k in a.params_:
+        assert a.params_[k].dtype == np.float64  # master weights
         assert np.array_equal(a.params_[k], b.params_[k])
     assert abs(a.epoch_losses_[-1] - b.epoch_losses_[-1]) < 1e-12
+
+
+def test_training_bit_reproducible(rng):
+    _check_training_reproducible(rng, np.float64)
+
+
+def test_float32_training_keeps_float64_master_weights(rng):
+    _check_training_reproducible(rng, np.float32)
 
 
 def test_reconstruction_improves_over_steps(rng):

@@ -165,6 +165,27 @@ def test_explain_counts_path_sets_without_the_paths_stage(small_run, tmp_path):
         assert text == explain_address(cfg, out, address)
 
 
+def test_explain_agrees_with_predictions(small_run):
+    # predict runs the network in chunks of batch_size addresses, explain on
+    # one address; a row must not depend on the chunk it ran in.
+    cfg, out = small_run
+    rows: dict[str, list[tuple[float, float]]] = {}
+    with open(out / "predictions.csv") as fh:
+        fh.readline()
+        for line in fh:
+            parts = line.split(",")
+            rows.setdefault(parts[0], []).append((float(parts[3]), float(parts[2])))
+    values = np.array(list(rows.values())).ravel()
+    assert np.array_equal(values.astype(np.float32), values)  # computed in float32
+    assert len(rows) > cfg.intention.batch_size
+    for address, want in rows.items():
+        explain_address(cfg, out, address)
+        trace = [line for line in (out / f"explain_{address}.txt").read_text().splitlines()
+                 if line.startswith("  hour ")]
+        assert trace == [f"  hour {t:2d}: S={s:.6f} p_malicious={p:.6f}"
+                         for t, (s, p) in enumerate(want, start=1)], address
+
+
 def test_eval_refuses_predictions_for_an_unlabelled_address(small_run, tmp_path):
     cfg, out = small_run
     stale = tmp_path / "stale"
