@@ -217,31 +217,33 @@ class TxStore:
         Inputs are grouped by source tx and outputs by address; each group's
         owner is the first explicit ``owner`` among its inputs, else the
         source output matching its amount.  A source that is missing or later
-        than its spender is an external boundary.
+        than its spender is an external boundary.  Each address's history is
+        two flat sequences, ``tx, amount, tx, amount, ...``: its receives with
+        the amount it received in each, and its spends with the input amount
+        it owned in each.
         """
         txs = self._txs
         report = self.report
         agg_in_index: dict[str, tuple[tuple[str, int], ...]] = {}
-        agg_out_index: dict[str, tuple[tuple[str, int], ...]] = {}
-        owners_index: dict[str, tuple[str | None, ...]] = {}
         stats: dict[str, tuple[int, int, int, int]] = {}
         children: dict[str, list[tuple[str, int]]] = {}
-        recv: dict[str, list[str]] = {}
-        spend: dict[str, list[str]] = {}
+        recv: dict[str, list] = {}
+        spend: dict[str, list] = {}
 
         for rec in sorted(txs.values(), key=_order_key):
             tx_id, ts = rec.tx_id, rec.timestamp
             agg_out, total_out = _group_outputs(rec.outputs)
-            # A new key gets a one-item list literal, sized for one item;
-            # setdefault's empty list would grow to four slots on append.
-            for addr, _ in agg_out:
-                if addr in recv:
-                    recv[addr].append(tx_id)
+            # A new key gets a list literal sized for its first event;
+            # setdefault's empty list would grow to four slots on extend.
+            for addr, amount in agg_out:
+                events = recv.get(addr)
+                if events is None:
+                    recv[addr] = [tx_id, amount]
                 else:
-                    recv[addr] = [tx_id]
+                    events += tx_id, amount
             if rec.inputs:
                 agg_in, explicit, total_in = _group_inputs(rec.inputs)
-                owners: list[str | None] = []
+                owned: dict[str, int] = {}
                 for (src, amount), owner in zip(agg_in, explicit):
                     src_rec = txs.get(src)
                     if src_rec is None or src_rec.timestamp > ts:
@@ -258,27 +260,31 @@ class TxStore:
                             children[src] = [(tx_id, amount)]
                         if owner is None:
                             owner = self._match_owner(src_rec, amount)
-                    if owner is not None and owner not in owners:
-                        if owner in spend:
-                            spend[owner].append(tx_id)
+                    if owner is not None:
+                        if owner in owned:
+                            owned[owner] += amount
                         else:
-                            spend[owner] = [tx_id]
-                    owners.append(owner)
-                owners_t = tuple(owners)
+                            owned[owner] = amount
+                for owner, amount in owned.items():
+                    events = spend.get(owner)
+                    if events is None:
+                        spend[owner] = [tx_id, amount]
+                    else:
+                        events += tx_id, amount
             else:
-                agg_in, owners_t, total_in = (), (), 0
+                agg_in, total_in = (), 0
             agg_in_index[tx_id] = agg_in
-            agg_out_index[tx_id] = agg_out
-            owners_index[tx_id] = owners_t
             stats[tx_id] = (total_in, total_out, len(agg_in), len(agg_out))
 
+        # Lists become tuples in place, so one list at a time is freed.
+        for history in (recv, spend):
+            for address, events in history.items():
+                history[address] = tuple(events)
         self._agg_in = agg_in_index
-        self._agg_out = agg_out_index
-        self._owners = owners_index
         self._stats = stats
         self._children = children
-        self._addr_receive = {a: tuple(v) for a, v in recv.items()}
-        self._addr_spend = {a: tuple(v) for a, v in spend.items()}
+        self._receives = recv
+        self._spends = spend
 
     def _match_owner(self, src_rec: TransactionRecord, amount: int) -> str | None:
         """The first output of ``src_rec`` paying ``amount``; a second output of
@@ -325,37 +331,26 @@ class TxStore:
     def agg_inputs(self, tx_id: str) -> tuple[tuple[str, int], ...]:
         return self._agg_in[tx_id]
 
-    def agg_outputs(self, tx_id: str) -> tuple[tuple[str, int], ...]:
-        return self._agg_out[tx_id]
-
-    def input_owners(self, tx_id: str) -> tuple[str | None, ...]:
-        return self._owners[tx_id]
-
     def children(self, tx_id: str) -> list[tuple[str, int]]:
         """Transactions spending ``tx_id``'s outputs, with drawn amounts."""
         return self._children.get(tx_id, [])
 
     def addresses(self):
-        return self._addr_receive.keys()
+        return self._receives.keys()
 
     def receive_txs(self, address: str) -> tuple[str, ...]:
-        return self._addr_receive.get(address, ())
+        return self._receives.get(address, ())[0::2]
 
     def spend_txs(self, address: str) -> tuple[str, ...]:
-        return self._addr_spend.get(address, ())
+        return self._spends.get(address, ())[0::2]
 
-    def owned_input_amount(self, tx_id: str, address: str) -> int:
-        total = 0
-        for (src, amount), owner in zip(self._agg_in[tx_id], self._owners[tx_id]):
-            if owner == address:
-                total += amount
-        return total
+    def receive_amounts(self, address: str) -> tuple[int, ...]:
+        """What ``address`` received in each of its ``receive_txs``."""
+        return self._receives.get(address, ())[1::2]
 
-    def received_amount(self, tx_id: str, address: str) -> int:
-        for addr, amount in self._agg_out[tx_id]:
-            if addr == address:
-                return amount
-        return 0
+    def spend_amounts(self, address: str) -> tuple[int, ...]:
+        """The input amount ``address`` owned in each of its ``spend_txs``."""
+        return self._spends.get(address, ())[1::2]
 
 
 def parse_transactions(lines, labels: dict[str, int] | None = None,

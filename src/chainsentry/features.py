@@ -22,8 +22,8 @@ import numpy as np
 
 from .chain import HOUR, TxStore
 from .errors import DataError
-from .paths import (AssetTransferPath, ForwardTrace, PathParams, backward_paths,
-                    path_sets_for_address)
+from .paths import (SET_NAMES, AssetTransferPath, ForwardTrace, PathParams,
+                    backward_paths, path_sets_for_address)
 from .serialize import open_artifact, write_json
 
 SCHEMA_VERSION = 1
@@ -47,7 +47,7 @@ ADDRESS_FEATURES = (
     "addr__active_hour_rate",
 )
 
-PATH_SET_NAMES = ("lt_bk", "st_bk", "lt_fr", "st_fr")
+PATH_SET_NAMES = SET_NAMES
 
 PATH_BASE_FEATURES = (
     "hop_length",
@@ -181,7 +181,12 @@ def _aggregate_prefixes(rows: np.ndarray, sizes) -> np.ndarray:
 
 @dataclass(slots=True)
 class _AddressEvents:
-    """Per-address receive/spend event arrays (times sorted ascending)."""
+    """Per-address receive/spend event arrays (times ascending).
+
+    Events within one second keep the store's txid order: every feature reads
+    them at ``searchsorted`` positions of a cutoff, which never splits a run
+    of equal times.
+    """
 
     recv_t: np.ndarray
     recv_amt: np.ndarray
@@ -191,21 +196,15 @@ class _AddressEvents:
 
     @classmethod
     def collect(cls, store: TxStore, address: str) -> "_AddressEvents":
-        recv = [(store.tx(t).timestamp, store.received_amount(t, address))
-                for t in store.receive_txs(address)]
-        spend = [(store.tx(t).timestamp, store.owned_input_amount(t, address))
-                 for t in store.spend_txs(address)]
-        recv.sort()
-        spend.sort()
-        rt = np.array([t for t, _ in recv], dtype=np.int64)
-        ra = np.array([a for _, a in recv], dtype=np.int64)
-        st = np.array([t for t, _ in spend], dtype=np.int64)
-        sa = np.array([a for _, a in spend], dtype=np.int64)
-        times = [x for x in (rt[:1], st[:1]) if x.size]
-        if not times:
+        """The store's history of ``address``, in (time, txid) order."""
+        tx = store.tx
+        rt = np.array([tx(t).timestamp for t in store.receive_txs(address)], dtype=np.int64)
+        st = np.array([tx(t).timestamp for t in store.spend_txs(address)], dtype=np.int64)
+        if not rt.size and not st.size:
             raise DataError(f"address {address!r} has no activity")
-        creation = int(min(int(x[0]) for x in times))
-        return cls(rt, ra, st, sa, creation)
+        creation = min(int(x[0]) for x in (rt, st) if x.size)
+        return cls(rt, np.array(store.receive_amounts(address), dtype=np.int64),
+                   st, np.array(store.spend_amounts(address), dtype=np.int64), creation)
 
 
 def _prefix_sum(values: np.ndarray) -> np.ndarray:

@@ -1,6 +1,5 @@
 from .params import (Dims, IntentionConfig, flatten_params, init_params,
-                     load_params, param_shapes, save_params, save_params_json,
-                     unflatten_params)
+                     load_params, param_shapes, save_params, unflatten_params)
 from .network import (SequenceBatch, compute_loss, compute_loss_and_grads,
                       forward_pass, intention_index_of)
 from .train import IntentionNetwork
@@ -19,6 +18,5 @@ __all__ = [
     "load_params",
     "param_shapes",
     "save_params",
-    "save_params_json",
     "unflatten_params",
 ]

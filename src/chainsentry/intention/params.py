@@ -3,8 +3,7 @@
 Parameters live in an ordered dict of float64 arrays so they can be
 flattened for the optimizer and for finite-difference checks.  The binary
 format is a magic string, a JSON shape header, and the concatenated
-little-endian float64 payload; a JSON twin mirrors the same content for
-inspection.
+little-endian float64 payload.
 """
 from __future__ import annotations
 
@@ -16,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError, DataError
-from ..serialize import open_artifact, write_json
+from ..serialize import open_artifact
 
 MAGIC = b"CSIN1\n"
 
@@ -184,9 +183,3 @@ def load_params(path):
                 raise DataError(f"{path}: truncated parameter payload")
             params[spec["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
     return params, Dims(**header["dims"]), IntentionConfig(**header["config"])
-
-
-def save_params_json(path, params: dict[str, np.ndarray]) -> None:
-    payload = {k: [repr(float(x)) for x in v.ravel()] for k, v in params.items()}
-    shapes = {k: list(v.shape) for k, v in params.items()}
-    write_json(path, {"shapes": shapes, "values": payload})

@@ -79,7 +79,7 @@ class AssetTransferPath:
 
     @property
     def key(self) -> tuple[str, ...]:
-        return tuple(h[2] for h in self.hops)
+        return tuple([h[2] for h in self.hops])
 
     def extended(self, score: float, tx: str) -> "AssetTransferPath":
         return AssetTransferPath(
@@ -103,6 +103,8 @@ class PathSet:
 
 def _backward_expansions(store: TxStore, path: AssetTransferPath, config: PathConfig,
                          anchor_time: int):
+    """Every admissible hop from the path's tip to a source, as (score, source,
+    source time)."""
     tip = path.tip_tx
     agg = store.agg_inputs(tip)
     if not agg:
@@ -117,7 +119,7 @@ def _backward_expansions(store: TxStore, path: AssetTransferPath, config: PathCo
         prop = (amount / total_in) if total_in else (1.0 / n)
         score = path.score * prop
         if score >= config.threshold and anchor_time - rec.timestamp <= config.max_span:
-            yield score, src
+            yield score, src, rec.timestamp
 
 
 def _forward_expansions(store: TxStore, path: AssetTransferPath, config: PathConfig,
@@ -143,6 +145,42 @@ def _prune_frontier(frontier: list[AssetTransferPath], cap: int):
     return frontier[:cap], True
 
 
+def _walk(store: TxStore, frontier: list[AssetTransferPath], config: PathConfig,
+          anchor_time: int, keys: set, t_prev: float = -math.inf, t_now: float = math.inf):
+    """The breadth-first frontier walk both directions share.
+
+    Hops stamped after ``t_now`` are hidden; the earliest of them is
+    returned as the next hop.  The first frontier holds old paths, which
+    only grow through hops stamped after ``t_prev``; paths found by the walk
+    expand in full.  A path whose key is in ``keys`` is dropped, and each
+    new frontier is pruned to the cap.  Returns (new paths, cut, next hop).
+    """
+    # Looked up at call time, so a wrapper set on the module is the one run.
+    expansions = _backward_expansions if config.direction == "BK" else _forward_expansions
+    added: list[AssetTransferPath] = []
+    truncated = False
+    next_hop = math.inf
+    while frontier:
+        nxt: list[AssetTransferPath] = []
+        for path in frontier:
+            for score, tx, tx_time in expansions(store, path, config, anchor_time):
+                if tx_time > t_now:
+                    next_hop = min(next_hop, tx_time)
+                    continue
+                if tx_time <= t_prev:
+                    continue  # already explored from this path
+                ext = path.extended(score, tx)
+                if ext.key not in keys:
+                    keys.add(ext.key)
+                    nxt.append(ext)
+        nxt, cut = _prune_frontier(nxt, config.max_paths_per_set)
+        truncated = truncated or cut
+        added.extend(nxt)
+        frontier = nxt
+        t_prev = -math.inf
+    return added, truncated, next_hop
+
+
 def backward_paths(store: TxStore, seed_tx: str, config: PathConfig) -> PathSet:
     """Frontier walk over influence pairs from a receive transaction: a hop
     to a source scores that source's share of the tip's input total.
@@ -154,25 +192,10 @@ def backward_paths(store: TxStore, seed_tx: str, config: PathConfig) -> PathSet:
     """
     if config.direction != "BK":
         raise DataError("backward_paths requires a BK config")
-    anchor_time = store.tx(seed_tx).timestamp
     seed = AssetTransferPath(((None, 1.0, seed_tx),), config.direction, config.horizon)
-    paths = [seed]
-    seen = {seed.key}
-    frontier = [seed]
-    truncated = False
-    while frontier:
-        nxt: list[AssetTransferPath] = []
-        for path in frontier:
-            for score, src in _backward_expansions(store, path, config, anchor_time):
-                ext = path.extended(score, src)
-                if ext.key not in seen:
-                    seen.add(ext.key)
-                    nxt.append(ext)
-        nxt, cut = _prune_frontier(nxt, config.max_paths_per_set)
-        truncated = truncated or cut
-        paths.extend(nxt)
-        frontier = nxt
-    return PathSet(paths, config.direction, config.horizon, truncated)
+    added, truncated, _ = _walk(store, [seed], config, store.tx(seed_tx).timestamp,
+                                {seed.key})
+    return PathSet([seed, *added], config.direction, config.horizon, truncated)
 
 
 def forward_paths(store: TxStore, seed_tx: str, config: PathConfig, t_now: int) -> PathSet:
@@ -231,37 +254,13 @@ class ForwardTrace:
         self.t_seen = t_now
         if t_now < self._next_hop:
             return []  # no hop became visible
-        anchor_time = store.tx(self.anchor_tx).timestamp
-        added: list[AssetTransferPath] = []
-        next_hop = math.inf
-        # Old paths can only grow through hops that became visible after
-        # t_prev; new paths (added this call) are expanded in full.  Every
-        # path passes through a frontier once, so its hops that are still
-        # hidden set the next time worth extending at.
-        frontier = list(self.paths)
-        fresh = False
-        while frontier:
-            nxt: list[AssetTransferPath] = []
-            for path in frontier:
-                for score, child, child_time in _forward_expansions(
-                    store, path, self.config, anchor_time
-                ):
-                    if child_time > t_now:
-                        next_hop = min(next_hop, child_time)
-                        continue
-                    if not fresh and child_time <= t_prev:
-                        continue  # already explored from this path
-                    ext = path.extended(score, child)
-                    if ext.key not in self._keys:
-                        self._keys.add(ext.key)
-                        nxt.append(ext)
-            nxt, cut = _prune_frontier(nxt, self.config.max_paths_per_set)
-            self.truncated = self.truncated or cut
-            self.paths.extend(nxt)
-            added.extend(nxt)
-            frontier = nxt
-            fresh = True
-        self._next_hop = next_hop
+        # Every path passes through a frontier once, so its hops that are
+        # still hidden set the next time worth extending at.
+        added, cut, self._next_hop = _walk(
+            store, self.paths, self.config, store.tx(self.anchor_tx).timestamp,
+            self._keys, t_prev, t_now)
+        self.truncated = self.truncated or cut
+        self.paths.extend(added)
         return added
 
     def pathset(self) -> PathSet:
@@ -292,39 +291,26 @@ def path_sets_for_address(store: TxStore, address: str, t_now: int,
     """The four merged path sets (lt_bk, st_bk, lt_fr, st_fr) at ``t_now``.
 
     Backward sets anchor every visible receive transaction; forward sets
-    anchor every visible spend transaction.  Per-anchor results are merged
-    and deduplicated by hop sequence.
+    anchor every visible spend transaction.  A path's key starts with its
+    anchor and an address's anchors are distinct, so the merged per-anchor
+    sets share no key.
     """
     params = params or PathParams()
-    receives = [t for t in store.receive_txs(address) if store.tx(t).timestamp <= t_now]
-    spends = [t for t in store.spend_txs(address) if store.tx(t).timestamp <= t_now]
-    if not receives and not spends:
+    anchors = {
+        "BK": [t for t in store.receive_txs(address) if store.tx(t).timestamp <= t_now],
+        "FR": [t for t in store.spend_txs(address) if store.tx(t).timestamp <= t_now],
+    }
+    if not anchors["BK"] and not anchors["FR"]:
         raise DataError(f"address {address!r} has no activity at t={t_now}")
     out: dict[str, PathSet] = {}
-    for horizon in HORIZONS:
-        merged: list[AssetTransferPath] = []
-        seen: set = set()
-        truncated = False
-        cfg = params.config(horizon, "BK")
-        for anchor in receives:
-            ps = backward_paths(store, anchor, cfg)
-            truncated = truncated or ps.truncated
-            for p in ps.paths:
-                if p.key not in seen:
-                    seen.add(p.key)
-                    merged.append(p)
-        out[f"{horizon.lower()}_bk"] = PathSet(merged, "BK", horizon, truncated)
-    for horizon in HORIZONS:
-        merged = []
-        seen = set()
-        truncated = False
-        cfg = params.config(horizon, "FR")
-        for anchor in spends:
-            ps = forward_paths(store, anchor, cfg, t_now)
-            truncated = truncated or ps.truncated
-            for p in ps.paths:
-                if p.key not in seen:
-                    seen.add(p.key)
-                    merged.append(p)
-        out[f"{horizon.lower()}_fr"] = PathSet(merged, "FR", horizon, truncated)
+    for name in SET_NAMES:
+        horizon, direction = name.upper().split("_")
+        cfg = params.config(horizon, direction)
+        merged = PathSet([], direction, horizon)
+        for anchor in anchors[direction]:
+            ps = (backward_paths(store, anchor, cfg) if direction == "BK"
+                  else forward_paths(store, anchor, cfg, t_now))
+            merged.paths += ps.paths
+            merged.truncated = merged.truncated or ps.truncated
+        out[name] = merged
     return out

@@ -23,14 +23,15 @@ from .base import stratified_split
 from .catalogs import VectorCatalog
 from .chain import TxStore, load_labels, parse_transactions_file
 from .errors import ConfigError, DataError, NotFoundError
-from .features import (FULL_SCHEMA, PATH_SET_NAMES, FeatureTimeline, feature_timeline,
-                       read_feature_csv, write_feature_csv, write_schema_json)
+from .features import (FULL_SCHEMA, FeatureTimeline, _AddressEvents, _cutoffs,
+                       feature_timeline, read_feature_csv, write_feature_csv,
+                       write_schema_json)
 from .gbt import GBTClassifier
 from .intention import (IntentionConfig, IntentionNetwork, SequenceBatch,
-                        load_params, save_params, save_params_json)
+                        load_params, save_params)
 from .intention.network import forward_pass, motif, t_die
 from .metrics import evaluate, write_eval_csv, write_survival_csv
-from .paths import PathParams, path_sets_for_address
+from .paths import SET_NAMES, PathParams, path_sets_for_address
 from .segmentation import (SegmentationPlan, SegmentationPlanner,
                            segment_representations)
 from .serialize import fmt_float, open_artifact, write_artifact, write_json
@@ -212,7 +213,7 @@ STAGE_TABLE = {
     "segment": Stage((_FEATURES, "split.json", "featurespec.json"),
                      ("plan.json", *_CATALOGS)),
     "train": Stage((_FEATURES, "split.json", "featurespec.json", "plan.json", *_CATALOGS),
-                   (*_MODELS, "intention_model.json", "train_report.json")),
+                   (*_MODELS, "train_report.json")),
     "predict": Stage((_FEATURES, "featurespec.json", "plan.json", *_CATALOGS, *_MODELS),
                      ("predictions.csv",)),
     "eval": Stage(("predictions.csv", "{labels}", "split.json?"),
@@ -350,26 +351,33 @@ def stage_ingest(config: PipelineConfig, out_dir: Path) -> dict:
     return report
 
 
+def _active_labelled(store: TxStore) -> tuple[list[str], list[dict]]:
+    """The labelled addresses with a transaction, sorted, and the rest as
+    skipped entries with their reason."""
+    active, skipped = [], []
+    for address in sorted(store.labels):
+        if store.receive_txs(address) or store.spend_txs(address):
+            active.append(address)
+        else:
+            skipped.append({"address": address, "reason": "no transactions"})
+    return active, skipped
+
+
 @_stage
-def stage_paths(config: PipelineConfig, out_dir: Path,
-                addresses: list[str] | None = None) -> None:
-    """Dump the four path sets per labeled address at the end of the window."""
+def stage_paths(config: PipelineConfig, out_dir: Path) -> None:
+    """Dump the four path sets per labelled address at the end of its
+    feature window.  The addresses ``features`` skips are skipped here too."""
     store = load_store(config, out_dir)
     params = config.paths.params()
     paths_dir = out_dir / "paths"
     paths_dir.mkdir(parents=True, exist_ok=True)
-    targets = sorted(addresses or store.labels)
-    for address in targets:
-        events = [store.tx(t).timestamp for t in store.receive_txs(address)]
-        events += [store.tx(t).timestamp for t in store.spend_txs(address)]
-        if not events:
-            continue
-        t_now = min(events) + config.hours * 3600
+    for address in _active_labelled(store)[0]:
+        creation = _AddressEvents.collect(store, address).creation
+        t_now = int(_cutoffs(creation, config.hours)[-1])
         sets = path_sets_for_address(store, address, t_now, params)
         with open_artifact(paths_dir / f"{address}.jsonl") as fh:
-            for set_name in ("lt_bk", "st_bk", "lt_fr", "st_fr"):
-                ps = sets[set_name]
-                for p in sorted(ps.paths, key=lambda q: q.key):
+            for set_name in SET_NAMES:
+                for p in sorted(sets[set_name].paths, key=lambda q: q.key):
                     fh.write(json.dumps({
                         "direction": p.direction,
                         "horizon": p.horizon,
@@ -449,12 +457,7 @@ def stage_features(config: PipelineConfig, out_dir: Path, jobs: int = 1) -> dict
     store = load_store(config, out_dir)
     if not store.labels:
         raise DataError("no labeled addresses to featurize")
-    addresses, skipped = [], []
-    for address in sorted(store.labels):
-        if store.receive_txs(address) or store.spend_txs(address):
-            addresses.append(address)
-        else:
-            skipped.append({"address": address, "reason": "no transactions"})
+    addresses, skipped = _active_labelled(store)
     if not addresses:
         raise DataError(f"none of the {len(skipped)} labeled addresses has a transaction")
     truncated = []
@@ -625,7 +628,6 @@ def stage_train(config: PipelineConfig, out_dir: Path) -> None:
     net = IntentionNetwork(dataclasses.replace(config.intention, seed=config.seed))
     net.fit(batch, ctx.status.n_clusters, ctx.action.n_clusters)
     save_params(out_dir / "intention_model.bin", net.params_, net.dims_, net.config)
-    save_params_json(out_dir / "intention_model.json", net.params_)
     write_json(out_dir / "train_report.json", {
         "epoch_losses": [repr(v) for v in net.epoch_losses_],
         "gbt_status_final_loss": repr(gbt_status.train_losses_[-1]) if gbt_status.train_losses_ else None,
@@ -721,6 +723,7 @@ def explain_address(config: PipelineConfig, out_dir: Path, address: str) -> str:
     """Human-readable interpretation: status/action sequences with decision
     paths, the intention motif, and the survival trace.  It reads what
     ``predict`` reads, without the stale-input check."""
+    out_dir = Path(out_dir)
     _require(config, out_dir, STAGE_TABLE["predict"].reads)
     timelines = _load_timelines(out_dir, {address})
     if not timelines:
@@ -757,7 +760,7 @@ def explain_address(config: PipelineConfig, out_dir: Path, address: str) -> str:
     # The last feature row holds each set's path count at the end of the window.
     last_row = timelines[0].matrix[-1]
     counts = {}
-    for name in PATH_SET_NAMES:
+    for name in SET_NAMES:
         n = int(last_row[FULL_SCHEMA.index(f"{name}__path_count")])
         if n:
             counts[name.upper().replace("_", "-")] = n

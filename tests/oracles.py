@@ -587,12 +587,16 @@ def reference_indexes(records):
     """The transaction store's indexes, built as two separate passes.
 
     First occurrence wins on duplicate txids.  The first pass aggregates
-    every transaction's inputs by source and outputs by address; the second
-    resolves each aggregated input's source, rescanning the spender's inputs
-    for an explicit owner before falling back to the first source output
-    with the same amount.  Returns every index as a dict in insertion order
-    (a spender's distinct owners enter the spend index in input order), plus
-    the warnings and the boundary-input count the build reports.
+    every transaction's inputs by source and outputs by address, and gives
+    each address what it received; the second resolves each aggregated
+    input's source, rescanning the spender's inputs for an explicit owner
+    before falling back to the first source output with the same amount,
+    and gives each owner the sum of the inputs it owned.  Returns every index
+    as a dict in insertion order (a spender's distinct owners enter the spend
+    index in input order), plus the warnings and the boundary-input count
+    the build reports.  An address's ``receives`` and ``spends`` are flat
+    ``tx, amount, ...`` tuples, as in the store; ``agg_out`` and ``owners``
+    are per transaction and have no counterpart in the store.
     """
     txs = {}
     warnings = []
@@ -611,8 +615,8 @@ def reference_indexes(records):
             out_agg[out.addr] = out_agg.get(out.addr, 0) + out.amount
         agg_in[tx_id] = tuple(in_agg.items())
         agg_out[tx_id] = tuple(out_agg.items())
-        for addr in out_agg:
-            recv.setdefault(addr, []).append(tx_id)
+        for addr, amount in out_agg.items():
+            recv.setdefault(addr, []).append((tx_id, amount))
 
     def explicit_owner(rec, src):
         for inp in rec.inputs:
@@ -640,12 +644,15 @@ def reference_indexes(records):
             owners.append(owner)
         owners_index[tx_id] = tuple(owners)
         for owner in dict.fromkeys(o for o in owners if o is not None):
-            spend.setdefault(owner, []).append(tx_id)
+            spend.setdefault(owner, []).append((tx_id, sum(
+                amount for (_, amount), o in zip(agg_in[tx_id], owners) if o == owner)))
+
+    def flat(history):
+        return {a: tuple(x for event in events for x in event) for a, events in history.items()}
+
     return {
         "txs": txs, "agg_in": agg_in, "agg_out": agg_out, "owners": owners_index,
-        "children": children,
-        "addr_receive": {a: tuple(v) for a, v in recv.items()},
-        "addr_spend": {a: tuple(v) for a, v in spend.items()},
+        "children": children, "receives": flat(recv), "spends": flat(spend),
         "warnings": warnings, "boundary_inputs": boundary,
     }
 

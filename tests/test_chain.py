@@ -4,8 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from chainsentry.chain import (parse_transactions, parse_transactions_file,
-                               serialize_transaction, TxStore)
+from chainsentry.chain import (TxInput, TxOutput, TxStore, parse_transactions,
+                               parse_transactions_file, serialize_transaction)
 from chainsentry.errors import DataError
 from chainsentry.features import ADDRESS_FEATURES, _AddressEvents, address_features
 from chainsentry.paths import path_sets_for_address
@@ -154,8 +154,9 @@ def test_owner_resolution_falls_back_to_amount_match():
         tx("sp", T0 + 10, [("src", 70, None)], [("c", 70)]),
     ]
     store = TxStore.from_records(records)
-    assert store.input_owners("sp") == ("owner_b",)
     assert store.spend_txs("owner_b") == ("sp",)
+    assert store.spend_amounts("owner_b") == (70,)
+    assert store.spend_txs("owner_a") == ()
 
 
 def test_ambiguous_amount_match_is_counted_and_keeps_the_first_owner():
@@ -165,19 +166,22 @@ def test_ambiguous_amount_match_is_counted_and_keeps_the_first_owner():
             tx("sp", T0 + 10, [("src", 5, owner)], [("c", 5)]),
         ])
 
+    def owners(store):
+        return [a for a in ("x", "y") if store.spend_txs(a) == ("sp",)]
+
     split = spend_from([("x", 5), ("y", 5)])
-    assert split.input_owners("sp") == ("x",)
+    assert owners(split) == ["x"]
     assert split.report.ambiguous_owners == 1
     same = spend_from([("x", 5), ("x", 5)])
-    assert same.input_owners("sp") == ("x",)
+    assert owners(same) == ["x"]
     assert same.report.ambiguous_owners == 0
     # An explicit owner is not recovered by amount, so it is never ambiguous.
     named = spend_from([("x", 5), ("y", 5)], owner="y")
-    assert named.input_owners("sp") == ("y",)
+    assert owners(named) == ["y"]
     assert named.report.ambiguous_owners == 0
 
 
-_INDEXES = ("txs", "agg_in", "agg_out", "owners", "children", "addr_receive", "addr_spend")
+_INDEXES = ("txs", "agg_in", "children", "receives", "spends")
 
 
 def _assert_store_matches_reference(records):
@@ -191,7 +195,7 @@ def _assert_store_matches_reference(records):
         assert store.tx_stats(tx_id) == (
             rec.total_input, rec.total_output,
             len(ref["agg_in"][tx_id]), len(ref["agg_out"][tx_id]))
-    return store
+    return store, ref
 
 
 @pytest.mark.parametrize("records", [
@@ -232,6 +236,109 @@ def test_store_indexes_match_the_two_pass_reference_on_random_dags():
                 for i in rec.inputs for _ in range(int(rng.integers(1, 3)))))
                 for rec in records]
         _assert_store_matches_reference(records)
+
+
+def _history_from_records(ref, address):
+    """``address``'s receives and spends as (time, amount) lists, straight from
+    the records in (time, txid) order; an input's owner is the oracle's."""
+    txs = ref["txs"]
+    recv, spend = [], []
+    for tx_id in sorted(txs, key=lambda t: (txs[t].timestamp, t)):
+        rec = txs[tx_id]
+        paid = [o.amount for o in rec.outputs if o.addr == address]
+        if paid:
+            recv.append((rec.timestamp, sum(paid)))
+        owned = [amount for (_, amount), owner in zip(ref["agg_in"][tx_id], ref["owners"][tx_id])
+                 if owner == address]
+        if owned:
+            spend.append((rec.timestamp, sum(owned)))
+    return recv, spend
+
+
+def _assert_history_matches_records(records):
+    store, ref = _assert_store_matches_reference(records)
+    for address in sorted({*ref["receives"], *ref["spends"]}):
+        recv, spend = _history_from_records(ref, address)
+        events = _AddressEvents.collect(store, address)
+        assert list(zip(events.recv_t.tolist(), events.recv_amt.tolist())) == recv, address
+        assert list(zip(events.spend_t.tolist(), events.spend_amt.tolist())) == spend, address
+        assert events.creation == min(t for t, _ in recv + spend)
+    with pytest.raises(DataError, match="no activity"):
+        _AddressEvents.collect(store, "never-seen")
+    return store, ref
+
+
+@pytest.mark.parametrize("records", [
+    pytest.param([tx("src", T0, [], [("x", 5), ("y", 5)]),
+                  tx("sp", T0 + 10, [("src", 5, None)], [("c", 5)])],
+                 id="ambiguous-owner"),
+    pytest.param([tx("a", T0, [], [("x", 5)]),
+                  tx("b", T0 + 1, [("ghost", 3, "x"), ("a", 5, None)], [("z", 8)])],
+                 id="boundary-input-with-explicit-owner"),
+    pytest.param([tx("a", T0, [], [("x", 5), ("y", 2), ("x", 7)]),
+                  tx("b", T0 + 1, [("a", 12, "x")], [("x", 4), ("x", 8)])],
+                 id="paid-twice-in-one-tx"),
+    pytest.param([tx("a", T0, [], [("x", 5)]),
+                  tx("b", T0, [], [("x", 6), ("y", 1)]),
+                  tx("c", T0 + 1, [("a", 5, None), ("b", 6, None), ("b", 1, "y")],
+                     [("z", 12)])],
+                 id="one-owner-of-several-inputs"),
+    pytest.param([tx("r2", T0, [], [("x", 1)]), tx("r1", T0, [], [("x", 9)]),
+                  tx("s", T0, [("r1", 9, "x"), ("r2", 1, "x")], [("y", 10)])],
+                 id="events-in-one-second"),
+])
+def test_address_history_matches_the_records(records):
+    _assert_history_matches_records(records)
+
+
+def _with_history_cases(rng, records, owned):
+    """``records`` reshaped so that addresses are paid twice in one tx and
+    share an output pool, inputs draw amounts that name an owner (some of
+    them two addresses), and some inputs are dangling with an explicit owner."""
+    pool = [f"p{k}" for k in range(4)]
+
+    def pick():
+        return pool[int(rng.integers(len(pool)))]
+
+    by_id = {}
+    for rec in records:
+        outputs = [TxOutput(pick(), o.amount) if rng.random() < 0.5 else o
+                   for o in rec.outputs]
+        if rng.random() < 0.3:
+            outputs.append(TxOutput(pick(), outputs[0].amount))
+        inputs = []
+        for inp in rec.inputs:
+            if owned:
+                inp = dataclasses.replace(inp, owner=pick())
+            elif rng.random() < 0.7:
+                src_outputs = by_id[inp.src].outputs
+                amount = src_outputs[int(rng.integers(len(src_outputs)))].amount
+                inp = dataclasses.replace(inp, amount=amount)
+            inputs.append(inp)
+        if rng.random() < 0.2:
+            inputs.append(TxInput(f"ghost_{rec.tx_id}", int(rng.integers(0, 100)), pick()))
+        by_id[rec.tx_id] = dataclasses.replace(rec, inputs=tuple(inputs), outputs=tuple(outputs))
+    return list(by_id.values())
+
+
+@pytest.mark.parametrize("owned", [False, True])
+def test_address_history_matches_the_records_on_random_dags(owned):
+    rng = np.random.default_rng(21 + owned)
+    seen = dict.fromkeys(("ambiguous", "boundary_owner", "paid_twice", "multi_input_owner"), 0)
+    for _ in range(100):
+        records = _with_history_cases(rng, random_dag_records(rng, n_tx_max=30, owned=owned),
+                                      owned)
+        store, ref = _assert_history_matches_records(records)
+        seen["ambiguous"] += store.report.ambiguous_owners
+        for rec in records:
+            owners = [o for o in ref["owners"][rec.tx_id] if o is not None]
+            seen["boundary_owner"] += sum(i.src not in ref["txs"] and i.owner is not None
+                                          for i in rec.inputs)
+            seen["paid_twice"] += len(rec.outputs) > len({o.addr for o in rec.outputs})
+            seen["multi_input_owner"] += len(owners) > len(set(owners))
+    if owned:
+        del seen["ambiguous"]  # explicit owners are never recovered by amount
+    assert all(seen.values()), seen
 
 
 # -- the transaction-pair oracle (tests/oracles.py) ----------------------------

@@ -8,7 +8,6 @@ from chainsentry.intention import (Dims, IntentionConfig, IntentionNetwork,
                                    forward_pass, init_params, intention_index_of,
                                    load_params, save_params, unflatten_params)
 from chainsentry.intention.network import _lstm_forward, loss_terms, motif, t_die
-from chainsentry.intention.params import save_params_json
 from oracles import reference_loss_and_grads
 
 
@@ -526,7 +525,6 @@ def test_params_binary_roundtrip(tmp_path, rng):
     params = init_params(dims, seed=41)
     path = tmp_path / "model.bin"
     save_params(path, params, dims, config)
-    save_params_json(tmp_path / "model.json", params)
     loaded, dims2, config2 = load_params(path)
     assert dims2 == dims
     assert config2 == config

@@ -86,9 +86,10 @@ def test_stage_artifacts_exist(small_run):
                  "ingest_report.json", "featurespec.json", "split.json",
                  "plan.json", "catalog_status.json", "catalog_action.json",
                  "gbt_status.json", "gbt_action.json", "intention_model.bin",
-                 "intention_model.json", "predictions.csv", "eval_report.json",
+                 "predictions.csv", "eval_report.json",
                  "eval_report.csv", "survival_curves.csv", "manifest.json"):
         assert (out / name).exists(), name
+    assert not (out / "intention_model.json").exists()
     assert (out / "features" / "features.csv").exists()
     assert (out / "features" / "schema.json").exists()
     assert (out / "paths").is_dir()
@@ -145,6 +146,12 @@ def test_explain_output(small_run):
     assert "intention motif:" in text
     assert "survival trace:" in text
     assert (out / f"explain_{hack}.txt").exists()
+
+
+def test_explain_accepts_a_str_out_dir(small_run):
+    cfg, out = small_run
+    address = sorted(load_labels(out / "labels.csv"))[0]
+    assert explain_address(cfg, str(out), address) == explain_address(cfg, out, address)
 
 
 def test_explain_counts_path_sets_without_the_paths_stage(small_run, tmp_path):
@@ -259,6 +266,9 @@ def test_ghost_address_is_skipped_through_eval(tmp_path):
     assert report["featurized"] == n_real
     assert report["skipped"] == [{"address": "ghost_addr", "reason": "no transactions"}]
     assert report["truncated"] == []
+    # The paths stage skips the same address.
+    assert sorted(p.stem for p in (tmp_path / "paths").glob("*.jsonl")) == sorted(
+        a for a in load_labels(tmp_path / "labels.csv") if a != "ghost_addr")
     addresses, p, _, _ = read_predictions(tmp_path / "predictions.csv")
     assert len(addresses) == n_real and "ghost_addr" not in addresses
     assert json.loads((tmp_path / "eval_report.json").read_text())["all"]["f1_early"] >= 0.0

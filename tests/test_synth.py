@@ -51,7 +51,7 @@ def test_hack_deposit_matches_case_profile():
     assert store.tx(deposit).timestamp == min(
         store.tx(t).timestamp for t in store.receive_txs(addr) + store.spend_txs(addr))
     assert len(store.agg_inputs(deposit)) == 71
-    total = store.received_amount(deposit, addr)
+    total = store.receive_amounts(addr)[0]
     assert abs(total / COIN - 555.997) < 0.01
 
 
@@ -77,17 +77,22 @@ def test_universe_passes_chain_validation(tmp_path):
 def test_value_conservation_no_overdraft():
     records, labels, _ = generate(small_specs(), seed=9, noise_level=0.5)
     store = TxStore.from_records(records, labels)
+    # Replay every address's history in (time, txid) order, a transaction's
+    # spends before its receives.
+    events = []
+    owned: dict[str, int] = {}
+    for addr in {o.addr for rec in records for o in rec.outputs}:
+        for tx_id, amount in zip(store.spend_txs(addr), store.spend_amounts(addr)):
+            events.append((store.tx(tx_id).timestamp, tx_id, 0, addr, -amount))
+            owned[tx_id] = owned.get(tx_id, 0) + amount
+        for tx_id, amount in zip(store.receive_txs(addr), store.receive_amounts(addr)):
+            events.append((store.tx(tx_id).timestamp, tx_id, 1, addr, amount))
+    # Every input has an owner that received it.
+    assert owned == {rec.tx_id: rec.total_input for rec in records if rec.inputs}
     balance: dict[str, int] = {}
-    order = sorted(store.tx_ids(), key=lambda t: (store.tx(t).timestamp, t))
-    for tx_id in order:
-        rec = store.tx(tx_id)
-        for (src, amount), owner in zip(store.agg_inputs(tx_id),
-                                        store.input_owners(tx_id)):
-            assert owner is not None
-            balance[owner] = balance.get(owner, 0) - amount
-            assert balance[owner] >= 0, f"{owner} overdrawn at {tx_id}"
-        for addr, amount in store.agg_outputs(tx_id):
-            balance[addr] = balance.get(addr, 0) + amount
+    for _, tx_id, _, addr, delta in sorted(events):
+        balance[addr] = balance.get(addr, 0) + delta
+        assert balance[addr] >= 0, f"{addr} overdrawn at {tx_id}"
 
 
 def test_hack_template_path_signature():
@@ -117,7 +122,8 @@ def test_hack_addresses_share_signal_source():
     signal_sources = []
     for addr in hacks:
         recvs = store.receive_txs(addr)
-        signals = [t for t in recvs if store.received_amount(t, addr) < 10_000]
+        signals = [t for t, amount in zip(recvs, store.receive_amounts(addr))
+                   if amount < 10_000]
         assert len(signals) == 1
         srcs = [s for s, _ in store.agg_inputs(signals[0])]
         signal_sources.append(srcs[0])
