@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import HOUR, TxStore
+from .chain import HOUR, INT64_MAX, TxStore
 from .errors import DataError
 from .paths import (SET_NAMES, AssetTransferPath, ForwardTrace, PathParams,
                     backward_paths, path_sets_for_address)
@@ -106,17 +106,17 @@ def path_feature_row(store: TxStore, path: AssetTransferPath) -> list:
     """The 12 per-path features, in ``PATH_BASE_FEATURES`` order.
 
     Python numbers, for the caller to store as float64.  Each hop's amounts
-    and counterparty counts come from the store's per-tx totals.
+    and counterparty counts come from the store's per-tx ``stats``.
     """
-    stats = store.tx_stats
+    stats = store.stats
     hops = path.hops
-    _, score, tx_id = hops[0]
-    total_in, total_out, n_in, n_out = stats(tx_id)
+    _, score, tx = hops[0]
+    total_in, total_out, n_in, n_out = stats[4 * tx:4 * tx + 4].tolist()
     row = [len(hops) - 1, len(hops),  # hops, and nodes on the path (frontier depth)
            total_in, total_in, total_out, total_out, n_in, n_in, n_out, n_out, score, score]
-    for _, score, tx_id in hops[1:]:
+    for _, score, tx in hops[1:]:
         # Column 2k holds the max and 2k + 1 the min of the k-th hop value.
-        for k, value in enumerate((*stats(tx_id), score), start=1):
+        for k, value in enumerate((*stats[4 * tx:4 * tx + 4].tolist(), score), start=1):
             if value > row[2 * k]:
                 row[2 * k] = value
             elif value < row[2 * k + 1]:
@@ -197,14 +197,32 @@ class _AddressEvents:
     @classmethod
     def collect(cls, store: TxStore, address: str) -> "_AddressEvents":
         """The store's history of ``address``, in (time, txid) order."""
-        tx = store.tx
-        rt = np.array([tx(t).timestamp for t in store.receive_txs(address)], dtype=np.int64)
-        st = np.array([tx(t).timestamp for t in store.spend_txs(address)], dtype=np.int64)
-        if not rt.size and not st.size:
+        recv_tx, recv_amt = store.receives(address)
+        spend_tx, spend_amt = store.spends(address)
+        if not recv_tx.size and not spend_tx.size:
             raise DataError(f"address {address!r} has no activity")
+        time = np.asarray(store.time)
+        rt, st = time[recv_tx], time[spend_tx]
         creation = min(int(x[0]) for x in (rt, st) if x.size)
-        return cls(rt, np.array(store.receive_amounts(address), dtype=np.int64),
-                   st, np.array(store.spend_amounts(address), dtype=np.int64), creation)
+        return cls(rt, recv_amt, st, spend_amt, creation)
+
+
+def skip_reason(store: TxStore, address: str, hours: int) -> str | None:
+    """Why the stages give ``address`` no timeline and no path dump, or None.
+
+    Its sums and times must stay in int64: an address whose receives or
+    spends sum past ``2**63 - 1`` (its balance would wrap), or whose last
+    cutoff passes it, is skipped like one with no transactions.
+    """
+    try:
+        events = _AddressEvents.collect(store, address)
+    except DataError:
+        return "no transactions"
+    if max(sum(events.recv_amt.tolist()), sum(events.spend_amt.tolist())) > INT64_MAX:
+        return "amounts sum past 2**63 - 1"
+    if events.creation + hours * HOUR > INT64_MAX:
+        return "feature window ends past 2**63 - 1"
+    return None
 
 
 def _prefix_sum(values: np.ndarray) -> np.ndarray:

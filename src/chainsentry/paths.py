@@ -55,18 +55,19 @@ class PathConfig:
 
 @dataclass(frozen=True, slots=True)
 class AssetTransferPath:
-    """Hops are (prev tx or None, cumulative score, tx); hops[0] is the anchor."""
+    """Hops are (prev tx id or None, cumulative score, tx id); hops[0] is the
+    anchor.  Store ids sort like txids, so keys sort like their names."""
 
-    hops: tuple[tuple[str | None, float, str], ...]
+    hops: tuple[tuple[int | None, float, int], ...]
     direction: str
     horizon: str
 
     @property
-    def anchor_tx(self) -> str:
+    def anchor_tx(self) -> int:
         return self.hops[0][2]
 
     @property
-    def tip_tx(self) -> str:
+    def tip_tx(self) -> int:
         return self.hops[-1][2]
 
     @property
@@ -78,10 +79,10 @@ class AssetTransferPath:
         return len(self.hops) - 1
 
     @property
-    def key(self) -> tuple[str, ...]:
+    def key(self) -> tuple[int, ...]:
         return tuple([h[2] for h in self.hops])
 
-    def extended(self, score: float, tx: str) -> "AssetTransferPath":
+    def extended(self, score: float, tx: int) -> "AssetTransferPath":
         return AssetTransferPath(
             self.hops + ((self.tip_tx, score, tx),), self.direction, self.horizon
         )
@@ -106,20 +107,23 @@ def _backward_expansions(store: TxStore, path: AssetTransferPath, config: PathCo
     """Every admissible hop from the path's tip to a source, as (score, source,
     source time)."""
     tip = path.tip_tx
-    agg = store.agg_inputs(tip)
-    if not agg:
+    lo, hi = store.agg_ptr[tip], store.agg_ptr[tip + 1]
+    if lo == hi:
         return
-    total_in = sum(a for _, a in agg)
-    n = len(agg)
-    tip_time = store.tx(tip).timestamp
-    for src, amount in agg:
-        rec = store.maybe_tx(src)
-        if rec is None or rec.timestamp > tip_time:
-            continue  # external boundary: tracing stops here
+    total_in = store.stats[4 * tip]
+    n = hi - lo
+    time = store.time
+    n_tx, tip_time = len(time), time[tip]
+    for src, amount in zip(store.agg_src[lo:hi].tolist(), store.agg_amt[lo:hi].tolist()):
+        # A source outside the store (an id past its end) or later than the
+        # tip is an external boundary: tracing stops here.
+        src_time = time[src] if src < n_tx else math.inf
+        if src_time > tip_time:
+            continue
         prop = (amount / total_in) if total_in else (1.0 / n)
         score = path.score * prop
-        if score >= config.threshold and anchor_time - rec.timestamp <= config.max_span:
-            yield score, src, rec.timestamp
+        if score >= config.threshold and anchor_time - src_time <= config.max_span:
+            yield score, src, src_time
 
 
 def _forward_expansions(store: TxStore, path: AssetTransferPath, config: PathConfig,
@@ -127,11 +131,12 @@ def _forward_expansions(store: TxStore, path: AssetTransferPath, config: PathCon
     """Every admissible hop from the path's tip as (score, child, child time),
     whether or not the child is visible yet."""
     tip = path.tip_tx
-    total_out = store.tx_stats(tip)[1]
-    children = store.children(tip)
-    n = max(1, len(children))
-    for child, amount in children:
-        child_time = store.tx(child).timestamp
+    total_out = store.stats[4 * tip + 1]
+    lo, hi = store.child_ptr[tip], store.child_ptr[tip + 1]
+    n = max(1, hi - lo)
+    time = store.time
+    for child, amount in zip(store.child_tx[lo:hi].tolist(), store.child_amt[lo:hi].tolist()):
+        child_time = time[child]
         prop = (amount / total_out) if total_out else (1.0 / n)
         score = path.score * prop
         if score >= config.threshold and child_time - anchor_time <= config.max_span:
@@ -181,7 +186,7 @@ def _walk(store: TxStore, frontier: list[AssetTransferPath], config: PathConfig,
     return added, truncated, next_hop
 
 
-def backward_paths(store: TxStore, seed_tx: str, config: PathConfig) -> PathSet:
+def backward_paths(store: TxStore, seed_tx: int, config: PathConfig) -> PathSet:
     """Frontier walk over influence pairs from a receive transaction: a hop
     to a source scores that source's share of the tip's input total.
 
@@ -193,12 +198,11 @@ def backward_paths(store: TxStore, seed_tx: str, config: PathConfig) -> PathSet:
     if config.direction != "BK":
         raise DataError("backward_paths requires a BK config")
     seed = AssetTransferPath(((None, 1.0, seed_tx),), config.direction, config.horizon)
-    added, truncated, _ = _walk(store, [seed], config, store.tx(seed_tx).timestamp,
-                                {seed.key})
+    added, truncated, _ = _walk(store, [seed], config, store.time[seed_tx], {seed.key})
     return PathSet([seed, *added], config.direction, config.horizon, truncated)
 
 
-def forward_paths(store: TxStore, seed_tx: str, config: PathConfig, t_now: int) -> PathSet:
+def forward_paths(store: TxStore, seed_tx: int, config: PathConfig, t_now: int) -> PathSet:
     """Forward mirror of :func:`backward_paths`: a hop to a spending child
     scores the child's drawn amount over the tip's output total.
 
@@ -222,7 +226,7 @@ class ForwardTrace:
     hop, so an ``extend`` before that time returns at once.
     """
 
-    anchor_tx: str
+    anchor_tx: int
     config: PathConfig
     t_seen: int
     paths: list[AssetTransferPath] = field(default_factory=list)
@@ -231,10 +235,10 @@ class ForwardTrace:
     _next_hop: float = -math.inf
 
     @classmethod
-    def build(cls, store: TxStore, seed_tx: str, config: PathConfig, t_now: int):
+    def build(cls, store: TxStore, seed_tx: int, config: PathConfig, t_now: int):
         if config.direction != "FR":
             raise DataError("ForwardTrace requires an FR config")
-        anchor_time = store.tx(seed_tx).timestamp
+        anchor_time = store.time[seed_tx]
         seed = AssetTransferPath(((None, 1.0, seed_tx),), config.direction, config.horizon)
         trace = cls(seed_tx, config, anchor_time - 1)
         trace.paths.append(seed)
@@ -257,7 +261,7 @@ class ForwardTrace:
         # Every path passes through a frontier once, so its hops that are
         # still hidden set the next time worth extending at.
         added, cut, self._next_hop = _walk(
-            store, self.paths, self.config, store.tx(self.anchor_tx).timestamp,
+            store, self.paths, self.config, store.time[self.anchor_tx],
             self._keys, t_prev, t_now)
         self.truncated = self.truncated or cut
         self.paths.extend(added)
@@ -296,9 +300,10 @@ def path_sets_for_address(store: TxStore, address: str, t_now: int,
     sets share no key.
     """
     params = params or PathParams()
+    time = store.time
     anchors = {
-        "BK": [t for t in store.receive_txs(address) if store.tx(t).timestamp <= t_now],
-        "FR": [t for t in store.spend_txs(address) if store.tx(t).timestamp <= t_now],
+        "BK": [t for t in store.receive_txs(address) if time[t] <= t_now],
+        "FR": [t for t in store.spend_txs(address) if time[t] <= t_now],
     }
     if not anchors["BK"] and not anchors["FR"]:
         raise DataError(f"address {address!r} has no activity at t={t_now}")

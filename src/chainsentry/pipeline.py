@@ -24,7 +24,7 @@ from .catalogs import VectorCatalog
 from .chain import TxStore, load_labels, parse_transactions_file
 from .errors import ConfigError, DataError, NotFoundError
 from .features import (FULL_SCHEMA, FeatureTimeline, _AddressEvents, _cutoffs,
-                       feature_timeline, read_feature_csv, write_feature_csv,
+                       feature_timeline, read_feature_csv, skip_reason, write_feature_csv,
                        write_schema_json)
 from .gbt import GBTClassifier
 from .intention import (IntentionConfig, IntentionNetwork, SequenceBatch,
@@ -336,7 +336,7 @@ def stage_ingest(config: PipelineConfig, out_dir: Path) -> dict:
     store = load_store(config, out_dir)
     report = {
         "transactions": len(store),
-        "addresses": len(list(store.addresses())),
+        "addresses": len(store.addresses()),
         "labeled_addresses": len(store.labels),
         "rejected_lines": len(store.report.line_errors),
         "line_errors": [
@@ -351,15 +351,16 @@ def stage_ingest(config: PipelineConfig, out_dir: Path) -> dict:
     return report
 
 
-def _active_labelled(store: TxStore) -> tuple[list[str], list[dict]]:
-    """The labelled addresses with a transaction, sorted, and the rest as
-    skipped entries with their reason."""
+def _active_labelled(store: TxStore, hours: int) -> tuple[list[str], list[dict]]:
+    """The labelled addresses to featurize, sorted, and the rest as skipped
+    entries with their reason."""
     active, skipped = [], []
     for address in sorted(store.labels):
-        if store.receive_txs(address) or store.spend_txs(address):
+        reason = skip_reason(store, address, hours)
+        if reason is None:
             active.append(address)
         else:
-            skipped.append({"address": address, "reason": "no transactions"})
+            skipped.append({"address": address, "reason": reason})
     return active, skipped
 
 
@@ -371,19 +372,22 @@ def stage_paths(config: PipelineConfig, out_dir: Path) -> None:
     params = config.paths.params()
     paths_dir = out_dir / "paths"
     paths_dir.mkdir(parents=True, exist_ok=True)
-    for address in _active_labelled(store)[0]:
+    name = store.tx_name
+    for address in _active_labelled(store, config.hours)[0]:
         creation = _AddressEvents.collect(store, address).creation
         t_now = int(_cutoffs(creation, config.hours)[-1])
         sets = path_sets_for_address(store, address, t_now, params)
         with open_artifact(paths_dir / f"{address}.jsonl") as fh:
             for set_name in SET_NAMES:
+                # Ids sort like txids, so this is the order of the names.
                 for p in sorted(sets[set_name].paths, key=lambda q: q.key):
                     fh.write(json.dumps({
                         "direction": p.direction,
                         "horizon": p.horizon,
-                        "anchor": p.anchor_tx,
+                        "anchor": name(p.anchor_tx),
                         "score": repr(p.score),
-                        "hops": [[h[0], repr(h[1]), h[2]] for h in p.hops],
+                        "hops": [[None if prev is None else name(prev), repr(score), name(tx)]
+                                 for prev, score, tx in p.hops],
                     }, sort_keys=True) + "\n")
 
 
@@ -450,14 +454,15 @@ def iter_timelines(store: TxStore, addresses: list[str], hours: int,
 def stage_features(config: PipelineConfig, out_dir: Path, jobs: int = 1) -> dict:
     """Stream every labelled address's timeline into ``features.csv``.
 
-    A labelled address with no transactions is skipped.  The report lists
+    A labelled address with no transactions, or with sums or times that
+    would leave int64 (``features.skip_reason``), is skipped.  The report lists
     the skipped addresses with their reason and the addresses whose path
     sets hit ``max_paths_per_set``.
     """
     store = load_store(config, out_dir)
     if not store.labels:
         raise DataError("no labeled addresses to featurize")
-    addresses, skipped = _active_labelled(store)
+    addresses, skipped = _active_labelled(store, config.hours)
     if not addresses:
         raise DataError(f"none of the {len(skipped)} labeled addresses has a transaction")
     truncated = []

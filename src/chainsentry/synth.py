@@ -353,31 +353,3 @@ def write_universe(out_dir, records, labels, meta, scenario_payload) -> None:
     write_labels(labels, out / "labels.csv")
     write_json(out / "scenario.json", {"scenario": scenario_payload, "meta": meta})
 
-
-def bulk_chain_records(n_transactions: int, seed: int = 0):
-    """A minimal high-volume universe: independent 2-hop spend chains.
-
-    Used for ingest throughput checks; transaction count is exact.
-    """
-    if n_transactions < 2:
-        raise ConfigError("need at least 2 transactions")
-    rng = np.random.default_rng(seed)
-    records = []
-    counter = 0
-    when = BASE_TIME
-    while len(records) < n_transactions:
-        counter += 1
-        addr = f"bulk_{counter:07d}"
-        amount = int(rng.integers(1, 1000)) * 1000
-        when += int(rng.integers(1, 30))
-        cb = TransactionRecord(f"bc{counter:08d}", when, (),
-                               (TxOutput(addr, amount),))
-        records.append(cb)
-        if len(records) >= n_transactions:
-            break
-        records.append(TransactionRecord(
-            f"bs{counter:08d}", when + int(rng.integers(5, 120)),
-            (TxInput(cb.tx_id, amount, addr),),
-            (TxOutput(f"{addr}_to", amount),),
-        ))
-    return records[:n_transactions]

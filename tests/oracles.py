@@ -14,6 +14,74 @@ import numpy as np
 HOUR = 3600
 
 
+# -- the store read through its public columns and names ----------------------
+
+
+def total_input(rec):
+    return sum(i.amount for i in rec.inputs)
+
+
+def total_output(rec):
+    return sum(o.amount for o in rec.outputs)
+
+
+def tx_ids(store):
+    """Every transaction's txid, in id order (sorted)."""
+    return [store.tx_name(t) for t in range(len(store))]
+
+
+def tx_id(store, name):
+    """The id of txid ``name``."""
+    return tx_ids(store).index(name)
+
+
+def agg_inputs(store, t):
+    """Transaction ``t``'s inputs summed per source as (source id, amount)."""
+    lo, hi = store.agg_ptr[t], store.agg_ptr[t + 1]
+    return list(zip(store.agg_src[lo:hi].tolist(), store.agg_amt[lo:hi].tolist()))
+
+
+def children(store, t):
+    """The transactions spending ``t``'s outputs as (child id, amount drawn)."""
+    lo, hi = store.child_ptr[t], store.child_ptr[t + 1]
+    return list(zip(store.child_tx[lo:hi].tolist(), store.child_amt[lo:hi].tolist()))
+
+
+def tx_stats(store, t):
+    return tuple(store.stats[4 * t:4 * t + 4].tolist())
+
+
+def store_indexes(store):
+    """The store's indexes by name, in the layout of :func:`reference_indexes`."""
+    name = store.tx_name
+
+    def named(pairs):
+        return [(name(t), amount) for t, amount in pairs]
+
+    def history(address, side):
+        txs, amounts = side(address)
+        return tuple(x for t, a in zip(txs.tolist(), amounts.tolist()) for x in (name(t), a))
+
+    addresses = _address_names(store)
+    return {
+        "txs": {name(t): store.tx(t) for t in range(len(store))},
+        "agg_in": {name(t): tuple(named(agg_inputs(store, t))) for t in range(len(store))},
+        "children": {name(t): named(c) for t in range(len(store)) if (c := children(store, t))},
+        "receives": {a: h for a in addresses if (h := history(a, store.receives))},
+        "spends": {a: h for a in addresses if (h := history(a, store.spends))},
+    }
+
+
+def _address_names(store):
+    """Every address the store numbers, in id order."""
+    names = []
+    while True:
+        try:
+            names.append(store.address_name(len(names)))
+        except IndexError:
+            return names
+
+
 def dfs_backward_paths(store, seed_tx, threshold, max_span):
     """Exhaustive prefix enumeration over influence hops (no pruning cap)."""
     anchor_time = store.tx(seed_tx).timestamp
@@ -23,15 +91,15 @@ def dfs_backward_paths(store, seed_tx, threshold, max_span):
         results[tuple(tx for _, _, tx in hops)] = tuple(s for _, s, _ in hops)
         tip = hops[-1][2]
         tip_time = store.tx(tip).timestamp
-        agg = store.agg_inputs(tip)
+        agg = agg_inputs(store, tip)
         total = sum(a for _, a in agg)
         for src, amount in agg:
-            rec = store.maybe_tx(src)
-            if rec is None or rec.timestamp > tip_time:
+            # Sources outside the store are numbered past its end.
+            if src >= len(store) or store.tx(src).timestamp > tip_time:
                 continue
             prop = (amount / total) if total else (1.0 / len(agg))
             s = score * prop
-            if s >= threshold and anchor_time - rec.timestamp <= max_span:
+            if s >= threshold and anchor_time - store.tx(src).timestamp <= max_span:
                 recurse(hops + [(tip, s, src)], s)
 
     recurse([(None, 1.0, seed_tx)], 1.0)
@@ -46,13 +114,13 @@ def dfs_forward_paths(store, seed_tx, threshold, max_span, t_now):
     def recurse(hops, score):
         results[tuple(tx for _, _, tx in hops)] = tuple(s for _, s, _ in hops)
         tip = hops[-1][2]
-        total_out = store.tx(tip).total_output
-        children = store.children(tip)
-        for child, amount in children:
+        total_out = total_output(store.tx(tip))
+        spenders = children(store, tip)
+        for child, amount in spenders:
             ct = store.tx(child).timestamp
             if ct > t_now:
                 continue
-            prop = (amount / total_out) if total_out else (1.0 / max(1, len(children)))
+            prop = (amount / total_out) if total_out else (1.0 / max(1, len(spenders)))
             s = score * prop
             if s >= threshold and ct - anchor_time <= max_span:
                 recurse(hops + [(tip, s, child)], s)
@@ -86,7 +154,7 @@ def expand_pairs(tx):
     """
     from chainsentry.errors import DataError
 
-    if tx.is_coinbase:
+    if not tx.inputs:
         raise DataError(f"cannot expand coinbase transaction {tx.tx_id}")
     in_agg: dict[str, int] = {}
     for inp in tx.inputs:
@@ -144,13 +212,13 @@ class ReferenceForwardTrace:
         while frontier:
             found = []
             for txs, scores in frontier:
-                total_out = store.tx(txs[-1]).total_output
-                children = store.children(txs[-1])
-                for child, amount in children:
+                total_out = total_output(store.tx(txs[-1]))
+                spenders = children(store, txs[-1])
+                for child, amount in spenders:
                     ct = store.tx(child).timestamp
                     if ct > t_now or (not fresh and ct <= t_prev):
                         continue
-                    prop = (amount / total_out) if total_out else (1.0 / max(1, len(children)))
+                    prop = (amount / total_out) if total_out else (1.0 / max(1, len(spenders)))
                     s = scores[-1] * prop
                     key = txs + (child,)
                     if (s >= self.threshold and ct - self.anchor_time <= self.max_span
@@ -681,6 +749,32 @@ def random_dag_records(rng, n_tx_max=50, days=6, owned=False):
         records.append(TransactionRecord(tx_id, int(base + times[i]),
                                          tuple(inputs), tuple(outputs)))
     return records
+
+
+def bulk_chain_records(n_transactions, seed=0):
+    """A minimal high-volume universe: independent 2-hop spend chains, with
+    an exact transaction count."""
+    from chainsentry.chain import TransactionRecord, TxInput, TxOutput
+
+    rng = np.random.default_rng(seed)
+    records = []
+    counter = 0
+    when = 1_600_000_000
+    while len(records) < n_transactions:
+        counter += 1
+        addr = f"bulk_{counter:07d}"
+        amount = int(rng.integers(1, 1000)) * 1000
+        when += int(rng.integers(1, 30))
+        cb = TransactionRecord(f"bc{counter:08d}", when, (), (TxOutput(addr, amount),))
+        records.append(cb)
+        if len(records) >= n_transactions:
+            break
+        records.append(TransactionRecord(
+            f"bs{counter:08d}", when + int(rng.integers(5, 120)),
+            (TxInput(cb.tx_id, amount, addr),),
+            (TxOutput(f"{addr}_to", amount),),
+        ))
+    return records[:n_transactions]
 
 
 # -- intention network: the per-step reference ---------------------------------

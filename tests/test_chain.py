@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +12,9 @@ from chainsentry.errors import DataError
 from chainsentry.features import ADDRESS_FEATURES, _AddressEvents, address_features
 from chainsentry.paths import path_sets_for_address
 from conftest import HOUR, T0, tx
-from oracles import expand_pairs, random_dag_records, reference_indexes
+from oracles import (agg_inputs, bulk_chain_records, children, expand_pairs,
+                     random_dag_records, reference_indexes, store_indexes, total_input,
+                     tx_id, tx_ids, tx_stats)
 
 
 def test_empty_stream():
@@ -27,7 +31,7 @@ def test_single_tx_store():
     store = parse_transactions([line])
     assert len(store) == 1
     assert list(store.addresses()) == ["a1"]
-    assert store.receive_txs("a1") == ("t1",)
+    assert [store.tx_name(t) for t in store.receive_txs("a1")] == ["t1"]
     assert store.spend_txs("a1") == ()
 
 
@@ -53,7 +57,7 @@ def test_non_utf8_line_is_a_line_error(tmp_path):
     assert store.report.n_accepted == 1
     assert [line_no for line_no, _ in store.report.line_errors] == [2]
     assert "invalid UTF-8" in store.report.line_errors[0][1]
-    assert list(store.tx_ids()) == ["t1"]
+    assert tx_ids(store) == ["t1"]
 
 
 def test_crlf_file_parses(tmp_path):
@@ -62,7 +66,7 @@ def test_crlf_file_parses(tmp_path):
     store = parse_transactions_file(path)
     assert store.report.n_accepted == 2
     assert store.report.line_errors == []
-    assert sorted(store.tx_ids()) == ["t1", "t2"]
+    assert tx_ids(store) == ["t1", "t2"]
 
 
 def test_unresolvable_schema_fatal():
@@ -80,7 +84,7 @@ def test_duplicate_txid_first_wins():
                     "outputs": [{"addr": "second", "amount": 2}]})
     store = parse_transactions([a, b])
     assert len(store) == 1
-    assert store.tx("t1").outputs[0].addr == "first"
+    assert store.tx(tx_id(store, "t1")).outputs[0].addr == "first"
     assert any("duplicate" in w for w in store.report.warnings)
 
 
@@ -91,6 +95,61 @@ def test_output_exceeding_input_rejected():
     store = parse_transactions([bad])
     assert len(store) == 0
     assert "exceeds" in store.report.line_errors[0][1]
+
+
+def _line(txid, t, inputs, outputs):
+    return json.dumps({"txid": txid, "time": t,
+                       "inputs": [{"src": s, "amount": a} for s, a in inputs],
+                       "outputs": [{"addr": d, "amount": a} for d, a in outputs]})
+
+
+@pytest.mark.parametrize("line, reason", [
+    pytest.param(_line("big", T0, [], [("a", 10**20)]), "output total exceeds 2**63 - 1",
+                 id="coinbase-amount"),
+    pytest.param(_line("big", T0, [], [("a", 2**62), ("b", 2**62)]),
+                 "output total exceeds 2**63 - 1", id="coinbase-total"),
+    pytest.param(_line("big", T0, [("cb", 10**20)], [("a", 1)]),
+                 "input total exceeds 2**63 - 1", id="input-amount"),
+    pytest.param(_line("big", T0, [("cb", 2**62), ("cb", 2**62)], [("a", 1)]),
+                 "input total exceeds 2**63 - 1", id="input-total"),
+    pytest.param(_line("big", 2**63, [], [("a", 1)]), "time exceeds 2**63 - 1", id="time"),
+    # A line rejected for another reason keeps that reason.
+    pytest.param(_line("big", T0, [("cb", 10**20)], [("a", 10**21)]),
+                 "output total exceeds input total on a non-coinbase tx", id="older-rule-first"),
+])
+def test_values_outside_int64_are_line_errors(line, reason):
+    edge = _line("edge", 2**63 - 1, [], [("a", 2**63 - 1)])
+    store = parse_transactions([_line("cb", T0, [], [("a", 5)]), line, edge])
+    assert store.report.line_errors == [(2, reason)]
+    assert tx_ids(store) == ["cb", "edge"]
+    assert store.tx(tx_id(store, "edge")).outputs[0].amount == 2**63 - 1
+
+
+def test_records_outside_int64_are_refused():
+    with pytest.raises(DataError, match="exceeds"):
+        TxStore.from_records([tx("big", T0, [], [("a", 2**62), ("a", 2**62)])])
+
+
+def test_store_keeps_under_400_bytes_per_transaction():
+    """Retained heap of one parse of a fixed 4,696-tx universe; the store of
+    frozen records it replaced kept about 830 B per transaction."""
+    from chainsentry.synth import ScenarioSpec, generate
+
+    specs = [("hack", 5), ("exchange", 60), ("merchant", 40), ("gambling", 30), ("mining", 15)]
+    records, labels, _ = generate([ScenarioSpec(k, c) for k, c in specs], 5, 0.3)
+    lines = [serialize_transaction(rec) for rec in records]
+    del records
+    gc.collect()
+    tracemalloc.start()
+    try:
+        store = parse_transactions(lines, labels)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(store) == 4696
+    per_tx = retained / len(store)
+    assert per_tx < 400, f"the store keeps {per_tx:.0f} B per transaction"
 
 
 def test_dangling_source_is_boundary_not_error(chain_store):
@@ -108,7 +167,7 @@ def test_time_travel_reference_becomes_boundary():
     ]
     store = TxStore.from_records(records)
     assert store.report.boundary_inputs == 1
-    assert store.children("later") == []
+    assert children(store, tx_id(store, "later")) == []
 
 
 def test_no_lookahead_raises(chain_store):
@@ -141,7 +200,7 @@ def test_history_respects_query_time():
 def test_71_input_deposit_pair_count(case_study_store):
     (deposit,) = [t for t in case_study_store.receive_txs("hack")
                   if case_study_store.tx(t).timestamp <= T0]
-    assert len(case_study_store.agg_inputs(deposit)) == 71
+    assert len(agg_inputs(case_study_store, deposit)) == 71
     assert len(expand_pairs(case_study_store.tx(deposit))) == 71  # one output address
     assert all(case_study_store.tx(t).timestamp > T0
                for t in case_study_store.spend_txs("hack"))
@@ -154,8 +213,8 @@ def test_owner_resolution_falls_back_to_amount_match():
         tx("sp", T0 + 10, [("src", 70, None)], [("c", 70)]),
     ]
     store = TxStore.from_records(records)
-    assert store.spend_txs("owner_b") == ("sp",)
-    assert store.spend_amounts("owner_b") == (70,)
+    assert store.spend_txs("owner_b") == (tx_id(store, "sp"),)
+    assert store.spends("owner_b")[1].tolist() == [70]
     assert store.spend_txs("owner_a") == ()
 
 
@@ -167,7 +226,7 @@ def test_ambiguous_amount_match_is_counted_and_keeps_the_first_owner():
         ])
 
     def owners(store):
-        return [a for a in ("x", "y") if store.spend_txs(a) == ("sp",)]
+        return [a for a in ("x", "y") if store.spend_txs(a) == (tx_id(store, "sp"),)]
 
     split = spend_from([("x", 5), ("y", 5)])
     assert owners(split) == ["x"]
@@ -187,14 +246,17 @@ _INDEXES = ("txs", "agg_in", "children", "receives", "spends")
 def _assert_store_matches_reference(records):
     store = TxStore.from_records(records)
     ref = reference_indexes(records)
+    got = store_indexes(store)
     for name in _INDEXES:
-        assert list(getattr(store, f"_{name}").items()) == list(ref[name].items()), name
+        assert got[name] == ref[name], name
     assert store.report.warnings == ref["warnings"]
     assert store.report.boundary_inputs == ref["boundary_inputs"]
-    for tx_id, rec in ref["txs"].items():
-        assert store.tx_stats(tx_id) == (
-            rec.total_input, rec.total_output,
-            len(ref["agg_in"][tx_id]), len(ref["agg_out"][tx_id]))
+    for name, rec in ref["txs"].items():
+        assert tx_stats(store, tx_id(store, name)) == (
+            total_input(rec), sum(o.amount for o in rec.outputs),
+            len(ref["agg_in"][name]), len(ref["agg_out"][name]))
+    # Ids number txids, then sources outside the store, each in sorted order.
+    assert tx_ids(store) == sorted(ref["txs"])
     return store, ref
 
 
@@ -373,10 +435,10 @@ def test_expand_pairs_conservation_random(rng):
                [(f"o{k}", 0) for k in range(n_out)])
         pairs = expand_pairs(t)
         assert len(pairs) == n_in * n_out
-        total_in = t.total_input
+        total_in = total_input(t)
         for out in {p.dst for p in pairs}:
             group = [p for p in pairs if p.dst == out]
-            if not t.is_coinbase and total_in > 0:
+            if t.inputs and total_in > 0:
                 assert abs(sum(p.proportion for p in group) - 1.0) < 1e-9
             assert sum(p.allocated_amount for p in group) == total_in
 
@@ -395,20 +457,20 @@ def test_expand_pairs_rejects_coinbase():
 
 def test_roundtrip_parse_serialize_parse(case_study_store):
     def serialize(store):
-        order = sorted(store.tx_ids(), key=lambda t: (store.tx(t).timestamp, t))
+        # Ids sort like txids, so this is (time, txid) order.
+        order = sorted(range(len(store)), key=lambda t: (store.tx(t).timestamp, t))
         return [serialize_transaction(store.tx(t)) for t in order]
 
     lines = serialize(case_study_store)
     store2 = parse_transactions(lines)
     assert len(store2) == len(case_study_store)
-    for tx_id in case_study_store.tx_ids():
-        assert store2.tx(tx_id) == case_study_store.tx(tx_id)
+    assert tx_ids(store2) == tx_ids(case_study_store)
+    for t in range(len(store2)):
+        assert store2.tx(t) == case_study_store.tx(t)
     assert serialize(store2) == lines
 
 
 def test_bulk_generation_count_matches_line_oracle(tmp_path):
-    from chainsentry.synth import bulk_chain_records
-
     n = 299_767
     records = bulk_chain_records(n, seed=5)
     assert len(records) == n

@@ -14,7 +14,7 @@ from chainsentry.serialize import fmt_float
 from chainsentry.synth import ScenarioSpec, generate
 from conftest import HOUR, T0, tx
 from oracles import (naive_aggregate, random_dag_records, reference_address_features,
-                     reference_aggregate, reference_feature_timeline)
+                     reference_aggregate, reference_feature_timeline, tx_id)
 
 DAY = 86400
 
@@ -154,7 +154,8 @@ def test_path_features_trivial_and_empty(chain_store):
     agg = aggregate_path_set(rows)
     assert agg.shape == (49,) and not agg.any()
 
-    ps = backward_paths(chain_store, "cb", PathConfig("BK", "LT", 0.5, 7 * DAY))
+    ps = backward_paths(chain_store, tx_id(chain_store, "cb"),
+                        PathConfig("BK", "LT", 0.5, 7 * DAY))
     rows, empty = path_features(chain_store, ps.paths)
     assert not empty
     vec = dict(zip(["hop_length", "height_length", "max_input_amount",
@@ -167,7 +168,8 @@ def test_path_features_trivial_and_empty(chain_store):
 
 
 def test_path_features_three_hop_hand_table(chain_store):
-    ps = backward_paths(chain_store, "dep", PathConfig("BK", "LT", 0.5, 7 * DAY))
+    ps = backward_paths(chain_store, tx_id(chain_store, "dep"),
+                        PathConfig("BK", "LT", 0.5, 7 * DAY))
     longest = max(ps.paths, key=lambda p: p.hop_length)
     row = path_features(chain_store, [longest])[0][0]
     # dep(in=900,out=900,|I|=1,|J|=1) <- mid(in=1000,out=1000,1in,2out) <- cb(0 in).
@@ -245,7 +247,7 @@ def test_timeline_incremental_equals_rebuild_whole_universe():
 def test_timeline_no_lookahead(case_study_store):
     """Rows before a perturbation hour are bit-identical after it."""
     base = feature_timeline(case_study_store, "hack").matrix
-    later = [r for r in case_study_store._txs.values()]
+    later = [case_study_store.tx(t) for t in range(len(case_study_store))]
     extra = tx("late", T0 + 20 * HOUR + 10, [], [("hack", 777)])
     store2 = TxStore.from_records(later + [extra], labels={"hack": 1})
     pert = feature_timeline(store2, "hack").matrix
@@ -270,7 +272,8 @@ def _bits(a):
 
 
 def test_set_tracker_aggregate_follows_interleaved_adds(chain_store):
-    ps = backward_paths(chain_store, "dep", PathConfig("BK", "ST", 0.01, 7 * DAY))
+    ps = backward_paths(chain_store, tx_id(chain_store, "dep"),
+                        PathConfig("BK", "ST", 0.01, 7 * DAY))
     assert len(ps.paths) >= 2
     tracker = _SetTracker()
     sizes = [len(tracker)]
@@ -446,7 +449,7 @@ def test_feature_csv_writer_matches_per_cell_format(tmp_path):
 
 
 def test_feature_csv_read_filtered_by_address(tmp_path, case_study_store):
-    records = list(case_study_store._txs.values())
+    records = [case_study_store.tx(t) for t in range(len(case_study_store))]
     store = TxStore.from_records(records, labels={"hack": 1, "dest": 0, "far": 0})
     timelines = [feature_timeline(store, a) for a in ("hack", "dest", "far")]
     path = tmp_path / "features.csv"

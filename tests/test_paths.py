@@ -7,8 +7,9 @@ from chainsentry.errors import DataError
 from chainsentry.paths import (ForwardTrace, PathConfig, PathParams,
                                backward_paths, forward_paths, path_sets_for_address)
 from conftest import HOUR, T0, tx
-from oracles import (ReferenceForwardTrace, dfs_backward_paths, dfs_forward_paths,
-                     expand_pairs, pathset_as_dict, random_dag_records)
+from oracles import (ReferenceForwardTrace, agg_inputs, dfs_backward_paths,
+                     dfs_forward_paths, expand_pairs, pathset_as_dict, random_dag_records,
+                     tx_id)
 
 DAY = 86400
 
@@ -19,6 +20,11 @@ def bk(threshold=0.5, span=7 * DAY, cap=10_000):
 
 def fr(threshold=0.5, span=7 * DAY, cap=10_000):
     return PathConfig("FR", "LT", threshold, span, cap)
+
+
+def named(store, key):
+    """A path key (tx ids) as txids."""
+    return tuple(store.tx_name(t) for t in key)
 
 
 def test_config_validation():
@@ -44,7 +50,7 @@ def assert_backward_hops_match_pair_oracle(store, pathset):
             assert prev == tip
             if tip not in proportions:
                 proportions[tip] = {p.src: p.proportion for p in expand_pairs(store.tx(tip))}
-            assert score == parent_score * proportions[tip][src]
+            assert score == parent_score * proportions[tip][store.tx_name(src)]
             checked += 1
     return checked
 
@@ -67,13 +73,14 @@ def _sources_then(tip_inputs):
 ])
 def test_backward_hop_scores_match_the_pair_oracle(inputs, threshold, want):
     store = _sources_then(inputs)
-    ps = backward_paths(store, "tip", bk(threshold=threshold))
-    assert {p.key: p.score for p in ps.paths if p.hop_length} == want
+    ps = backward_paths(store, tx_id(store, "tip"), bk(threshold=threshold))
+    assert {named(store, p.key): p.score for p in ps.paths if p.hop_length} == want
     assert assert_backward_hops_match_pair_oracle(store, ps) == len(want)
 
 
 def test_backward_hop_scores_match_the_pair_oracle_on_the_71_input_deposit(case_study_store):
-    ps = backward_paths(case_study_store, "dep", PathParams().config("ST", "BK"))
+    ps = backward_paths(case_study_store, tx_id(case_study_store, "dep"),
+                        PathParams().config("ST", "BK"))
     # 1/71 ~ 0.0141 clears the 0.01 threshold: one hop per feeder, then one
     # more to each feeder's coinbase.
     assert sum(p.hop_length == 1 for p in ps.paths) == 71
@@ -86,7 +93,7 @@ def test_backward_hop_scores_match_the_pair_oracle_on_random_dags(rng):
     for case in range(60):
         store = TxStore.from_records(random_dag_records(rng))
         threshold, span = ((0.01, 1 * DAY), (0.2, 6 * DAY), (0.5, 7 * DAY))[case % 3]
-        for seed in sorted(store.tx_ids()):
+        for seed in range(len(store)):
             ps = backward_paths(store, seed, bk(threshold=threshold, span=span))
             checked += assert_backward_hops_match_pair_oracle(store, ps)
     assert checked > 1000
@@ -94,14 +101,14 @@ def test_backward_hop_scores_match_the_pair_oracle_on_random_dags(rng):
 
 def test_backward_trivial_on_coinbase_ancestry():
     store = TxStore.from_records([tx("c", T0, [], [("a", 10)])])
-    ps = backward_paths(store, "c", bk())
+    ps = backward_paths(store, tx_id(store, "c"), bk())
     assert len(ps) == 1
-    assert ps.paths[0].hops == ((None, 1.0, "c"),)
+    assert ps.paths[0].hops == ((None, 1.0, tx_id(store, "c")),)
 
 
 def test_backward_three_level_chain_scores(chain_store):
     # dep <- mid (share 1.0) <- cb (share 1.0): chain fixture is fully linear.
-    ps = backward_paths(chain_store, "dep", bk(threshold=0.1))
+    ps = backward_paths(chain_store, tx_id(chain_store, "dep"), bk(threshold=0.1))
     scores = sorted(p.score for p in ps.paths)
     assert scores == [1.0, 1.0, 1.0]
 
@@ -115,14 +122,14 @@ def test_backward_hand_unrolled_scores():
         tx("s", T0, [("m", 80, None), ("g3", 20, None)], [("a", 100)]),
     ]
     store = TxStore.from_records(records)
-    ps = backward_paths(store, "s", bk(threshold=0.5))
-    got = {p.key: p.score for p in ps.paths}
+    ps = backward_paths(store, tx_id(store, "s"), bk(threshold=0.5))
+    got = {named(store, p.key): p.score for p in ps.paths}
     # 0.8 to m, then 0.8*0.9=0.72 to g1; 0.2 and 0.8*0.1 fall below 0.5.
     assert got == {("s",): 1.0, ("s", "m"): 0.8, ("s", "m", "g1"): pytest.approx(0.72)}
 
 
 def test_backward_prefix_closure_and_span(case_study_store):
-    ps = backward_paths(case_study_store, "dep",
+    ps = backward_paths(case_study_store, tx_id(case_study_store, "dep"),
                         PathConfig("BK", "ST", 0.01, 1 * DAY))
     keys = ps.keys()
     for p in ps.paths:
@@ -130,7 +137,7 @@ def test_backward_prefix_closure_and_span(case_study_store):
             assert tuple(h[2] for h in p.hops[:k]) in keys
         # Score product law along hops.
         for prev_hop, hop in zip(p.hops, p.hops[1:]):
-            agg = dict(case_study_store.agg_inputs(prev_hop[2]))
+            agg = dict(agg_inputs(case_study_store, prev_hop[2]))
             total = sum(agg.values())
             assert hop[1] == pytest.approx(prev_hop[1] * agg[hop[2]] / total, rel=1e-12)
     # 71 feeders + 71 coinbases + seed
@@ -138,14 +145,15 @@ def test_backward_prefix_closure_and_span(case_study_store):
 
 
 def test_backward_monotone_in_threshold(case_study_store):
-    loose = backward_paths(case_study_store, "dep", PathConfig("BK", "ST", 0.01, DAY))
-    tight = backward_paths(case_study_store, "dep", PathConfig("BK", "ST", 0.5, DAY))
+    dep = tx_id(case_study_store, "dep")
+    loose = backward_paths(case_study_store, dep, PathConfig("BK", "ST", 0.01, DAY))
+    tight = backward_paths(case_study_store, dep, PathConfig("BK", "ST", 0.5, DAY))
     assert tight.keys() <= loose.keys()
 
 
 def test_forward_trivial_when_unspent():
     store = TxStore.from_records([tx("c", T0, [], [("a", 10)])])
-    ps = forward_paths(store, "c", fr(), T0 + DAY)
+    ps = forward_paths(store, tx_id(store, "c"), fr(), T0 + DAY)
     assert len(ps) == 1
 
 
@@ -162,7 +170,7 @@ def test_forward_peeling_chain_scores():
         ))
         amt = keep
     store = TxStore.from_records(records)
-    ps = forward_paths(store, "t1", fr(threshold=0.5), T0 + DAY)
+    ps = forward_paths(store, tx_id(store, "t1"), fr(threshold=0.5), T0 + DAY)
     longest = max(ps.paths, key=lambda p: p.hop_length)
     assert longest.hop_length == 4
     assert longest.score == pytest.approx(0.95 ** 4, rel=1e-9)
@@ -177,11 +185,12 @@ def test_forward_incremental_equals_fresh():
             [(f"t{k}", 1000, f"a{k}")], [(f"a{k + 1}", 1000)],
         ))
     store = TxStore.from_records(records)
-    trace = ForwardTrace.build(store, "t1", fr(threshold=0.5), T0 + 2 * HOUR)
+    t1 = tx_id(store, "t1")
+    trace = ForwardTrace.build(store, t1, fr(threshold=0.5), T0 + 2 * HOUR)
     assert len(trace.paths) == 2  # truncated at the observation time
     for t_now in (T0 + 3 * HOUR, T0 + 3 * HOUR, T0 + DAY):
         trace.extend(store, t_now)
-        fresh = forward_paths(store, "t1", fr(threshold=0.5), t_now)
+        fresh = forward_paths(store, t1, fr(threshold=0.5), t_now)
         assert {p.key for p in trace.paths} == fresh.keys()
 
 
@@ -190,8 +199,8 @@ def test_forward_extend_skips_hours_without_a_visible_hop(monkeypatch):
                tx("t1", T0 + HOUR, [("t0", 1000, "a0")], [("a1", 1000)]),
                tx("t2", T0 + 5 * HOUR, [("t1", 1000, "a1")], [("a2", 1000)])]
     store = TxStore.from_records(records)
-    trace = ForwardTrace.build(store, "t0", fr(), T0 + 2 * HOUR)
-    assert [p.key for p in trace.paths] == [("t0",), ("t0", "t1")]
+    trace = ForwardTrace.build(store, tx_id(store, "t0"), fr(), T0 + 2 * HOUR)
+    assert [named(store, p.key) for p in trace.paths] == [("t0",), ("t0", "t1")]
     before = list(trace.paths)
     scans = []
     real = paths._forward_expansions
@@ -202,7 +211,7 @@ def test_forward_extend_skips_hours_without_a_visible_hop(monkeypatch):
         assert trace.paths == before and trace.t_seen == T0 + hours * HOUR + 1
     assert scans == []  # no path was re-scanned on the quiet hours
     (added,) = trace.extend(store, T0 + 5 * HOUR)
-    assert added.key == ("t0", "t1", "t2") and scans
+    assert named(store, added.key) == ("t0", "t1", "t2") and scans
     with pytest.raises(DataError):
         trace.extend(store, T0 + 4 * HOUR)
 
@@ -217,10 +226,9 @@ def test_forward_extend_hourly_matches_rescans_and_fresh_builds(rng):
     # a cut it must also equal a fresh build at the same time.
     for case in range(300):
         store = TxStore.from_records(random_dag_records(rng, n_tx_max=30))
-        tx_ids = sorted(store.tx_ids())
-        seed = tx_ids[int(rng.integers(0, len(tx_ids)))]
+        seed = int(rng.integers(0, len(store)))
         t_seed = store.tx(seed).timestamp
-        t_end = max(store.tx(t).timestamp for t in tx_ids)
+        t_end = max(store.tx(t).timestamp for t in range(len(store)))
         threshold, span = ((0.01, 2 * DAY), (0.2, 6 * DAY))[case % 2]
         for cap in (2, 10_000):
             config = PathConfig("FR", "ST", threshold, span, cap)
@@ -247,7 +255,8 @@ def test_frontier_pruning_flags_truncation():
     fan = [tx(f"i{k}", T0 - 10, [], [("w", 10)]) for k in range(30)]
     big = tx("t", T0, [(f"i{k}", 10, None) for k in range(30)], [("a", 300)])
     store = TxStore.from_records(fan + [big])
-    ps = backward_paths(store, "t", PathConfig("BK", "ST", 0.01, DAY, max_paths_per_set=5))
+    ps = backward_paths(store, tx_id(store, "t"),
+                        PathConfig("BK", "ST", 0.01, DAY, max_paths_per_set=5))
     assert ps.truncated
     assert len(ps) == 6  # seed + capped frontier
     scores = [p.score for p in ps.paths[1:]]
@@ -270,8 +279,7 @@ def test_oracle_equivalence_random_dags(rng):
     params_list = [(0.5, 7 * DAY), (0.01, 1 * DAY), (0.3, 2 * DAY)]
     for _ in range(60):
         store = TxStore.from_records(random_dag_records(rng))
-        tx_ids = sorted(store.tx_ids())
-        seed = tx_ids[int(rng.integers(0, len(tx_ids)))]
+        seed = int(rng.integers(0, len(store)))
         for threshold, span in params_list:
             got = pathset_as_dict(backward_paths(
                 store, seed, PathConfig("BK", "LT", threshold, span)))

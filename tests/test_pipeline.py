@@ -276,6 +276,37 @@ def test_ghost_address_is_skipped_through_eval(tmp_path):
     assert "features_report.json" in manifest["features"]["outputs"]
 
 
+def test_sums_and_times_outside_int64_skip_the_address(tmp_path):
+    cfg = _synth_small(tmp_path)
+    n_real = len(load_labels(tmp_path / "labels.csv"))
+    lines = [json.dumps({"txid": f"huge{k}", "time": 1_600_000_000 + k, "inputs": [],
+                         "outputs": [{"addr": "huge_addr", "amount": 2**62}]})
+             for k in range(3)]
+    lines.append(json.dumps({"txid": "late", "time": 2**63 - 10, "inputs": [],
+                             "outputs": [{"addr": "late_addr", "amount": 1}]}))
+    lines.append(json.dumps({"txid": "wide", "time": 1_600_000_000, "inputs": [],
+                             "outputs": [{"addr": "wide_addr", "amount": 10**20}]}))
+    with open(tmp_path / "transactions.jsonl", "a", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    with open(tmp_path / "labels.csv", "a", encoding="utf-8") as fh:
+        fh.write("huge_addr,1\nlate_addr,0\nwide_addr,1\n")
+    run_pipeline(cfg, tmp_path, stages=("ingest", "paths", "features"))
+    ingest = json.loads((tmp_path / "ingest_report.json").read_text())
+    assert ingest["rejected_lines"] == 1
+    assert ingest["line_errors"][0]["reason"] == "output total exceeds 2**63 - 1"
+    report = json.loads((tmp_path / "features" / "features_report.json").read_text())
+    assert report["featurized"] == n_real
+    assert report["skipped"] == [
+        {"address": "huge_addr", "reason": "amounts sum past 2**63 - 1"},
+        {"address": "late_addr", "reason": "feature window ends past 2**63 - 1"},
+        {"address": "wide_addr", "reason": "no transactions"},
+    ]
+    assert not any((tmp_path / "paths" / f"{a}.jsonl").exists()
+                   for a in ("huge_addr", "late_addr", "wide_addr"))
+    text = (tmp_path / "features" / "features.csv").read_text()
+    assert "huge_addr" not in text and "e+18" not in text
+
+
 def test_features_fail_only_when_no_address_is_left(tmp_path):
     cfg = _synth_small(tmp_path)
     stage_features(cfg, tmp_path)

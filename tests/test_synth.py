@@ -7,6 +7,7 @@ from chainsentry.chain import TxStore, parse_transactions_file
 from chainsentry.errors import ConfigError
 from chainsentry.paths import PathParams, path_sets_for_address
 from chainsentry.synth import COIN, ScenarioSpec, generate, write_universe
+from oracles import agg_inputs, total_input
 
 HOUR = 3600
 
@@ -50,8 +51,8 @@ def test_hack_deposit_matches_case_profile():
     deposit = store.receive_txs(addr)[0]
     assert store.tx(deposit).timestamp == min(
         store.tx(t).timestamp for t in store.receive_txs(addr) + store.spend_txs(addr))
-    assert len(store.agg_inputs(deposit)) == 71
-    total = store.receive_amounts(addr)[0]
+    assert len(agg_inputs(store, deposit)) == 71
+    total = int(store.receives(addr)[1][0])
     assert abs(total / COIN - 555.997) < 0.01
 
 
@@ -82,13 +83,14 @@ def test_value_conservation_no_overdraft():
     events = []
     owned: dict[str, int] = {}
     for addr in {o.addr for rec in records for o in rec.outputs}:
-        for tx_id, amount in zip(store.spend_txs(addr), store.spend_amounts(addr)):
+        for tx_id, amount in zip(store.spend_txs(addr), store.spends(addr)[1].tolist()):
             events.append((store.tx(tx_id).timestamp, tx_id, 0, addr, -amount))
-            owned[tx_id] = owned.get(tx_id, 0) + amount
-        for tx_id, amount in zip(store.receive_txs(addr), store.receive_amounts(addr)):
+            name = store.tx_name(tx_id)
+            owned[name] = owned.get(name, 0) + amount
+        for tx_id, amount in zip(store.receive_txs(addr), store.receives(addr)[1].tolist()):
             events.append((store.tx(tx_id).timestamp, tx_id, 1, addr, amount))
     # Every input has an owner that received it.
-    assert owned == {rec.tx_id: rec.total_input for rec in records if rec.inputs}
+    assert owned == {rec.tx_id: total_input(rec) for rec in records if rec.inputs}
     balance: dict[str, int] = {}
     for _, tx_id, _, addr, delta in sorted(events):
         balance[addr] = balance.get(addr, 0) + delta
@@ -122,10 +124,10 @@ def test_hack_addresses_share_signal_source():
     signal_sources = []
     for addr in hacks:
         recvs = store.receive_txs(addr)
-        signals = [t for t, amount in zip(recvs, store.receive_amounts(addr))
+        signals = [t for t, amount in zip(recvs, store.receives(addr)[1].tolist())
                    if amount < 10_000]
         assert len(signals) == 1
-        srcs = [s for s, _ in store.agg_inputs(signals[0])]
+        srcs = [s for s, _ in agg_inputs(store, signals[0])]
         signal_sources.append(srcs[0])
     assert len(set(signal_sources)) == 1  # one shared splitter transaction
 
