@@ -17,8 +17,11 @@ Labels live in a separate CSV with header ``address,label`` and label values
 """
 from __future__ import annotations
 
+import codecs
 import gc
+import itertools
 import json
+import zipfile
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -26,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, NotFoundError
-from .serialize import write_artifact
+from .serialize import open_artifact, write_artifact
 
 HOUR = 3600
 INT64_MAX = 2**63 - 1
@@ -290,10 +293,19 @@ class TxStore:
       the transactions spending its outputs and what each drew, in
       (time, txid) order.
 
-    Construction is single-writer (via :func:`parse_transactions` or
-    :meth:`from_records`); afterwards the store is read-only and safe to share
-    across workers.
+    Construction is single-writer (via :func:`parse_transactions`,
+    :meth:`from_records` or :meth:`load`); afterwards the store is read-only
+    and safe to share across workers.
     """
+
+    # What :meth:`save` writes: the columns, each index as its (ptr, ids,
+    # amounts) triple, and each name list packed with its ends.
+    _COLUMNS = ("time", "stats", "in_ptr", "in_src", "in_amt", "in_owner",
+                "out_ptr", "out_addr", "out_amt")
+    _INDEXES = ("agg", "children", "receives", "spends")
+    _PARTS = ("ptr", "ids", "amt")
+    _NAMES = ("tx_names", "addr_names")
+    _FORMAT = 1
 
     def __init__(self, cols: _Columns, labels: dict[str, int] | None = None):
         self.report = cols.report
@@ -386,9 +398,13 @@ class TxStore:
         agg_tx, owner, drawn = agg_tx[owns], owner[owns], drawn[owns]
         first, owned, _ = _sum_groups(agg_tx, owner, drawn)
         self._spends = _csr(owner[first], n_addr, agg_tx[first], owned, then=rank[agg_tx[first]])
-        # The hot readers' views: items and ``tolist`` give Python ints.
+        self._stats = stats
+        self._views()
+
+    def _views(self) -> None:
+        """The hot readers' views: items and ``tolist`` give Python ints."""
         self.time = memoryview(self._time)
-        self.stats = memoryview(stats.reshape(-1))
+        self.stats = memoryview(self._stats.reshape(-1))
         self.agg_ptr, self.agg_src, self.agg_amt = map(memoryview, self._agg)
         self.child_ptr, self.child_tx, self.child_amt = map(memoryview, self._children)
 
@@ -420,6 +436,54 @@ class TxStore:
                      [i.owner for i in rec.inputs],
                      [o.addr for o in rec.outputs], [o.amount for o in rec.outputs])
         return cls(cols, labels)
+
+    # -- persistence -------------------------------------------------------
+
+    def _saved_arrays(self):
+        """What :meth:`save` writes, as (name, array) pairs; each name list is
+        packed only when its turn comes."""
+        yield "format", np.array([self._FORMAT])
+        for name in self._COLUMNS:
+            yield name, getattr(self, f"_{name}")
+        for name in self._INDEXES:
+            yield from zip((f"{name}_{part}" for part in self._PARTS), getattr(self, f"_{name}"))
+        for name in self._NAMES:
+            yield from zip((name, f"{name}_ends"), _pack_names(getattr(self, f"_{name}")))
+
+    def save(self, path) -> None:
+        """Write every column, index and name to ``path`` as an uncompressed
+        ``.npz`` that :func:`numpy.load` reads, atomically.  Its entries carry
+        zip's fixed default date, so the bytes depend only on the store.  The
+        labels and the parse report are not saved."""
+        with open_artifact(path, "wb") as fh, zipfile.ZipFile(fh, "w", allowZip64=True) as zf:
+            for name, array in self._saved_arrays():
+                with zf.open(f"{name}.npy", "w", force_zip64=True) as entry:
+                    np.lib.format.write_array(entry, array, allow_pickle=False)
+
+    @classmethod
+    def load(cls, path, labels: dict[str, int] | None = None) -> "TxStore":
+        """The store :meth:`save` wrote to ``path``, with every index as
+        built; its report is empty."""
+        store = cls.__new__(cls)
+        store.report = ParseReport()
+        store.labels = dict(labels or {})
+        try:
+            with np.load(path) as saved:
+                if saved["format"].tolist() != [cls._FORMAT]:
+                    raise DataError(f"{path} has store format {saved['format'].tolist()}, "
+                                    f"not [{cls._FORMAT}]")
+                for name in cls._COLUMNS:
+                    setattr(store, f"_{name}", saved[name])
+                for name in cls._INDEXES:
+                    setattr(store, f"_{name}",
+                            tuple(saved[f"{name}_{part}"] for part in cls._PARTS))
+                for name in cls._NAMES:
+                    setattr(store, f"_{name}",
+                            _unpack_names(saved[name], saved[f"{name}_ends"]))
+        except (OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
+            raise DataError(f"{path} is not a transaction store: {exc}") from None
+        store._views()
+        return store
 
     # -- queries -----------------------------------------------------------
 
@@ -476,6 +540,21 @@ class TxStore:
 
     def spend_txs(self, address: str) -> tuple[int, ...]:
         return tuple(self.spends(address)[0].tolist())
+
+
+def _pack_names(names: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The names as one UTF-8 byte array and each name's end, in characters.
+    JSON strings may hold lone surrogates, which pass through unchanged."""
+    ends = np.cumsum(np.fromiter(map(len, names), np.int64, len(names)))
+    return np.frombuffer("".join(names).encode("utf-8", "surrogatepass"), np.uint8), ends
+
+
+def _unpack_names(data: np.ndarray, ends: np.ndarray) -> list[str]:
+    text, _ = codecs.utf_8_decode(data, "surrogatepass", True)
+    # Bounds one at a time: a list of them all would briefly cost more than
+    # the names.
+    ends = memoryview(ends)
+    return [text[lo:hi] for lo, hi in zip(itertools.chain((0,), ends), ends)]
 
 
 def parse_transactions(lines, labels: dict[str, int] | None = None,

@@ -132,51 +132,79 @@ def path_features(store: TxStore, paths) -> tuple[np.ndarray, bool]:
     return np.array(rows, dtype=np.float64), False
 
 
-def aggregate_path_set(rows: np.ndarray, sizes=None) -> np.ndarray:
+def aggregate_path_set(rows: np.ndarray, sizes=None, starts=None) -> np.ndarray:
     """49 values: path count, then (avg, max, min, std) per path feature.
 
     Std is the population standard deviation.  An empty set aggregates to
-    all zeros.  With ``sizes``, one 49-vector per size: row ``k`` aggregates
-    the first ``sizes[k]`` rows, bit-equal to a call on ``rows[:sizes[k]]``.
+    all zeros.  With ``sizes`` and ``starts``, ``rows`` stacks several sets,
+    set ``j`` from row ``starts[j]`` on, and the result has shape
+    ``sizes.shape + (49,)``: entry ``[j, k]`` aggregates the first
+    ``sizes[j, k]`` rows of set ``j``, bit-equal to a call on those rows.
     """
     if sizes is None:
-        return _aggregate_prefixes(rows, (rows.shape[0],))[0]
-    return _aggregate_prefixes(rows, sizes)
+        return _aggregate_prefixes(rows, (0,), ((rows.shape[0],),))[0, 0]
+    return _aggregate_prefixes(rows, starts, sizes)
 
 
 _STD_BLOCK_ROWS = 2048
 
 
-def _aggregate_prefixes(rows: np.ndarray, sizes) -> np.ndarray:
+def _aggregate_prefixes(rows: np.ndarray, starts, sizes) -> np.ndarray:
+    """Every (set, size) prefix's 49 values, each distinct pair worked once."""
     sizes = np.asarray(sizes, dtype=np.intp)
-    out = np.zeros((sizes.size, 1 + 4 * len(PATH_BASE_FEATURES)), dtype=np.float64)
-    distinct = np.unique(sizes[sizes > 0])
-    if not distinct.size:
-        return out
-    head = rows[:distinct[-1]]
-    ends = distinct - 1
-    stats = np.empty((distinct.size, len(PATH_BASE_FEATURES), 4))
+    width = len(PATH_BASE_FEATURES)
+    length = int(sizes.max(initial=0))
+    if not length:
+        return np.zeros((*sizes.shape, 1 + 4 * width))
+    # The (set, size) pairs that occur, by set then size; ``index`` numbers
+    # each cell's pair from 1, and gives 0 to an empty set.
+    n_sets = sizes.shape[0]
+    seen = np.zeros((n_sets, length + 1), dtype=bool)
+    cell_set = np.arange(n_sets)[:, None]
+    seen[cell_set, sizes] = True
+    seen[:, 0] = False
+    sets, ns = np.nonzero(seen)
+    index = (np.cumsum(seen) * seen.reshape(-1)).reshape(seen.shape)[cell_set, sizes]
+    table = np.zeros((ns.size + 1, 1 + 4 * width))
+    table[1:, 0] = ns
+    stats = table[1:, 1:].reshape(ns.size, width, 4)
+    # Row i of every set side by side, up to the longest set.  Past its own
+    # rows a set reads the next set's (or the last row again); no prefix
+    # reaches them.
+    head = rows[np.minimum(np.arange(length)[:, None] + np.asarray(starts), rows.shape[0] - 1)]
+    ends = ns - 1
     # A running sum in row order adds what ``rows[:n].sum(axis=0)`` adds,
     # except that the reduction starts from +0.0; adding 0.0 turns the one
     # possible difference, an all -0.0 prefix, into that +0.0.
-    means = (np.cumsum(head, axis=0)[ends] + 0.0) / distinct[:, None]
+    means = (np.cumsum(head, axis=0)[ends, sets] + 0.0) / ns[:, None]
     stats[:, :, 0] = means
-    stats[:, :, 1] = np.maximum.accumulate(head, axis=0)[ends]
-    stats[:, :, 2] = np.minimum.accumulate(head, axis=0)[ends]
-    # Std takes the two passes of ``rows[:n]`` for each size n, a group of
-    # sizes at a time.  Squares of rows past n are masked to +0.0, which
-    # leaves each sum unchanged.  A group holds at most _STD_BLOCK_ROWS rows
-    # of squares (one size's rows if that is more).
-    step = max(1, _STD_BLOCK_ROWS // head.shape[0])
-    for lo in range(0, distinct.size, step):
-        ns = distinct[lo:lo + step]
-        dev = (head[:ns[-1]] - means[lo:lo + step, None, :]) ** 2
-        dev[np.arange(ns[-1]) >= ns[:, None]] = 0.0
-        stats[lo:lo + step, :, 3] = np.sqrt(dev.sum(axis=1) / ns[:, None])
-    filled = sizes > 0
-    out[filled, 0] = sizes[filled]
-    out[filled, 1:] = stats.reshape(distinct.size, -1)[np.searchsorted(distinct, sizes[filled])]
-    return out
+    stats[:, :, 1] = np.maximum.accumulate(head, axis=0)[ends, sets]
+    stats[:, :, 2] = np.minimum.accumulate(head, axis=0)[ends, sets]
+    # Std takes the two passes of each prefix, a group of pairs at a time,
+    # summing contiguous rows of squares in row order.  Squares of rows past
+    # a pair's size are masked to +0.0, which leaves each sum unchanged.  A
+    # group holds at most _STD_BLOCK_ROWS rows of squares (one pair's rows
+    # if that is more).
+    step = max(1, _STD_BLOCK_ROWS // length)
+    for lo in range(0, ns.size, step):
+        n = ns[lo:lo + step]
+        m = n.max()
+        dev = (head[:m].take(sets[lo:lo + step], axis=1) - means[lo:lo + step]) ** 2
+        dev[np.arange(m)[:, None] >= n] = 0.0
+        stats[lo:lo + step, :, 3] = np.sqrt(dev.sum(axis=0) / n[:, None])
+    return table[index]
+
+
+class _Unfeaturizable(DataError):
+    """An address the feature builders refuse; ``reason`` is what the stages
+    report when they skip it."""
+
+    def __init__(self, message: str, reason: str):
+        super().__init__(message)
+        self.reason = reason
+
+
+_SUM_PAST_INT64 = "amounts sum past 2**63 - 1"
 
 
 @dataclass(slots=True)
@@ -196,11 +224,18 @@ class _AddressEvents:
 
     @classmethod
     def collect(cls, store: TxStore, address: str) -> "_AddressEvents":
-        """The store's history of ``address``, in (time, txid) order."""
+        """The store's history of ``address``, in (time, txid) order.
+
+        Its sums must stay in int64: an address whose receives or spends sum
+        past ``2**63 - 1`` (its balance would wrap) is refused like one with
+        no transactions.
+        """
         recv_tx, recv_amt = store.receives(address)
         spend_tx, spend_amt = store.spends(address)
         if not recv_tx.size and not spend_tx.size:
-            raise DataError(f"address {address!r} has no activity")
+            raise _Unfeaturizable(f"address {address!r} has no activity", "no transactions")
+        if max(sum(recv_amt.tolist()), sum(spend_amt.tolist())) > INT64_MAX:
+            raise _Unfeaturizable(f"address {address!r}: {_SUM_PAST_INT64}", _SUM_PAST_INT64)
         time = np.asarray(store.time)
         rt, st = time[recv_tx], time[spend_tx]
         creation = min(int(x[0]) for x in (rt, st) if x.size)
@@ -208,20 +243,12 @@ class _AddressEvents:
 
 
 def skip_reason(store: TxStore, address: str, hours: int) -> str | None:
-    """Why the stages give ``address`` no timeline and no path dump, or None.
-
-    Its sums and times must stay in int64: an address whose receives or
-    spends sum past ``2**63 - 1`` (its balance would wrap), or whose last
-    cutoff passes it, is skipped like one with no transactions.
-    """
+    """Why the stages give ``address`` no timeline and no path dump, or None:
+    the refusal of :meth:`_AddressEvents.collect` or :func:`_cutoffs`."""
     try:
-        events = _AddressEvents.collect(store, address)
-    except DataError:
-        return "no transactions"
-    if max(sum(events.recv_amt.tolist()), sum(events.spend_amt.tolist())) > INT64_MAX:
-        return "amounts sum past 2**63 - 1"
-    if events.creation + hours * HOUR > INT64_MAX:
-        return "feature window ends past 2**63 - 1"
+        _cutoffs(_AddressEvents.collect(store, address).creation, hours)
+    except _Unfeaturizable as exc:
+        return exc.reason
     return None
 
 
@@ -260,7 +287,11 @@ def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 
 
 def _cutoffs(creation: int, hours: int) -> np.ndarray:
-    """Row ``t`` (1-based) sees everything stamped at or before ``creation + t`` hours."""
+    """Row ``t`` (1-based) sees everything stamped at or before ``creation + t``
+    hours.  A window whose last cutoff passes ``2**63 - 1`` is refused."""
+    if creation + hours * HOUR > INT64_MAX:
+        reason = "feature window ends past 2**63 - 1"
+        raise _Unfeaturizable(reason, reason)
     return creation + HOUR * np.arange(1, hours + 1, dtype=np.int64)
 
 
@@ -330,34 +361,28 @@ class FeatureTimeline:
         return self.matrix.shape[0]
 
 
+def _stack_rows(rows: list) -> np.ndarray:
+    """Per-path rows (lists of Python numbers) as one float64 matrix."""
+    return np.array(rows, dtype=np.float64).reshape(-1, len(PATH_BASE_FEATURES))
+
+
 class _SetTracker:
     """Per-(address, set) path feature rows, in the order the paths arrived.
 
-    Rows are only ever appended, into a buffer that doubles when full.
+    Rows are only ever appended, to a list that is stacked once.
     """
 
-    __slots__ = ("truncated", "_buf", "_n")
+    __slots__ = ("truncated", "row_list")
 
     def __init__(self):
         self.truncated = False
-        self._buf = np.empty((16, len(PATH_BASE_FEATURES)), dtype=np.float64)
-        self._n = 0
+        self.row_list: list = []
 
     def __len__(self) -> int:
-        return self._n
-
-    @property
-    def rows(self) -> np.ndarray:
-        return self._buf[:self._n]
+        return len(self.row_list)
 
     def add(self, store: TxStore, paths) -> None:
-        for p in paths:
-            if self._n == self._buf.shape[0]:
-                grown = np.empty((2 * self._n, self._buf.shape[1]), dtype=np.float64)
-                grown[:self._n] = self._buf
-                self._buf = grown
-            self._buf[self._n] = path_feature_row(store, p)
-            self._n += 1
+        self.row_list.extend(path_feature_row(store, p) for p in paths)
 
 
 def feature_timeline(store: TxStore, address: str, hours: int = 24,
@@ -371,7 +396,8 @@ def feature_timeline(store: TxStore, address: str, hours: int = 24,
     transactions become visible.  Path work runs only in the hours where an
     anchor or a forward hop becomes visible: forward traces wait in a heap
     keyed by their next hidden hop.  Each set's row count is recorded per
-    hour, and one aggregate call per set gives all 24 rows of its block.
+    hour, and one aggregate call over the four sets gives every path column
+    of all 24 rows.
     """
     params = params or PathParams()
     events = _AddressEvents.collect(store, address)
@@ -381,6 +407,8 @@ def feature_timeline(store: TxStore, address: str, hours: int = 24,
 
     trackers = [_SetTracker() for _ in PATH_SET_NAMES]
     lt_bk, st_bk, lt_fr, st_fr = trackers
+    backward = ((params.config("LT", "BK"), lt_bk), (params.config("ST", "BK"), st_bk))
+    forward = ((2, params.config("LT", "FR"), lt_fr), (3, params.config("ST", "FR"), st_fr))
     # (next hidden hop time, set position, creation order, trace); the first
     # three are unique, so traces are never compared.
     due: list = []
@@ -391,15 +419,17 @@ def feature_timeline(store: TxStore, address: str, hours: int = 24,
     n_recv = np.searchsorted(events.recv_t, cutoffs, side="right").tolist()
     n_spend = np.searchsorted(events.spend_t, cutoffs, side="right").tolist()
     seen_recv = seen_spend = 0
-    sizes = np.zeros((len(trackers), hours), dtype=np.intp)
+    # Per hour, each set's row count.
+    counts = []
     for t, cutoff in enumerate(cutoffs.tolist()):
         if (seen_recv == n_recv[t] and seen_spend == n_spend[t]
                 and not (due and due[0][0] <= cutoff)):
+            counts.append(counts[-1] if counts else (0,) * len(trackers))
             continue
         # New backward anchors: full historical trace, visible immediately.
         for anchor in recv_ids[seen_recv:n_recv[t]]:
-            for horizon, tracker in (("LT", lt_bk), ("ST", st_bk)):
-                ps = backward_paths(store, anchor, params.config(horizon, "BK"))
+            for config, tracker in backward:
+                ps = backward_paths(store, anchor, config)
                 tracker.add(store, ps.paths)
                 tracker.truncated |= ps.truncated
         seen_recv = n_recv[t]
@@ -411,8 +441,8 @@ def feature_timeline(store: TxStore, address: str, hours: int = 24,
         ready.sort(key=lambda item: item[1:3])
         # New forward anchors start a trace; their paths come first.
         for anchor in spend_ids[seen_spend:n_spend[t]]:
-            for k, horizon, tracker in ((2, "LT", lt_fr), (3, "ST", st_fr)):
-                trace = ForwardTrace.build(store, anchor, params.config(horizon, "FR"), cutoff)
+            for k, config, tracker in forward:
+                trace = ForwardTrace.build(store, anchor, config, cutoff)
                 tracker.add(store, trace.paths)
                 tracker.truncated |= trace.truncated
                 if trace.next_hop != math.inf:
@@ -423,12 +453,16 @@ def feature_timeline(store: TxStore, address: str, hours: int = 24,
             trackers[k].truncated |= trace.truncated
             if trace.next_hop != math.inf:
                 heapq.heappush(due, (trace.next_hop, k, order, trace))
-        sizes[:, t:] = np.array([len(tracker) for tracker in trackers])[:, None]
+        counts.append(tuple(map(len, trackers)))
 
-    matrix = np.zeros((hours, len(FULL_SCHEMA)), dtype=np.float64)
+    matrix = np.empty((hours, len(FULL_SCHEMA)), dtype=np.float64)
     matrix[:, :len(ADDRESS_FEATURES)] = address_features(events, cutoffs)
-    for tracker, row_counts, (lo, hi) in zip(trackers, sizes, _SET_BLOCKS):
-        matrix[:, lo:hi] = aggregate_path_set(tracker.rows, row_counts)
+    # One call aggregates the four sets, stacked; their blocks sit side by side.
+    starts = np.cumsum([0, *counts[-1][:-1]])
+    blocks = aggregate_path_set(
+        _stack_rows([row for tracker in trackers for row in tracker.row_list]),
+        np.array(counts, dtype=np.intp).T, starts)
+    matrix[:, len(ADDRESS_FEATURES):] = blocks.transpose(1, 0, 2).reshape(hours, -1)
     truncated = any(tr.truncated for tr in trackers)
     return FeatureTimeline(address, label, creation, matrix, truncated)
 

@@ -188,9 +188,10 @@ class Stage:
     """The files one stage reads and writes, relative to the output directory.
 
     ``{transactions}`` and ``{labels}`` stand for the ``DataConfig`` file
-    names, a write ending in "/" for every file in that directory, and a read
-    ending in "?" for a file the stage uses only when it is present.  ``jobs``
-    marks the stage that takes a worker count.
+    names, a write ending in "/" for every file in that directory, a read
+    ending in "?" for a file the stage uses only when it is present, and a
+    read "a|b" for the first of the two that is present.  ``jobs`` marks the
+    stage that takes a worker count.
     """
 
     reads: tuple[str, ...]
@@ -199,16 +200,18 @@ class Stage:
 
 
 _SOURCE = ("{transactions}", "{labels}")
+_STORE = "store.npz"
 _FEATURES = "features/features.csv"
 _CATALOGS = ("catalog_status.json", "catalog_action.json")
 _MODELS = ("gbt_status.json", "gbt_action.json", "intention_model.bin")
 
 STAGE_TABLE = {
     "synth": Stage((), (*_SOURCE, "scenario.json")),
-    "ingest": Stage(_SOURCE, ("ingest_report.json",)),
-    "paths": Stage(_SOURCE, ("paths/",)),
-    "features": Stage(_SOURCE, (_FEATURES, "features/schema.json",
-                                "features/features_report.json"), jobs=True),
+    "ingest": Stage(_SOURCE, ("ingest_report.json", _STORE)),
+    "paths": Stage((_STORE + "|{transactions}", "{labels}"), ("paths/",)),
+    "features": Stage((_STORE + "|{transactions}", "{labels}"),
+                      (_FEATURES, "features/schema.json", "features/features_report.json"),
+                      jobs=True),
     "select": Stage((_FEATURES,), ("split.json", "featurespec.json")),
     "segment": Stage((_FEATURES, "split.json", "featurespec.json"),
                      ("plan.json", *_CATALOGS)),
@@ -220,6 +223,10 @@ STAGE_TABLE = {
                   ("eval_report.json", "eval_report.csv", "survival_curves.csv")),
 }
 STAGES = tuple(STAGE_TABLE)
+# A written file that stands for the files it is built from: the store is the
+# parsed transactions, without the labels.  It is stale only when they change,
+# and a file built from it is stale when it is.
+_STANDS_FOR = {_STORE: ("{transactions}",)}
 
 
 def _files(config: PipelineConfig, names) -> list[str]:
@@ -233,12 +240,14 @@ def _writers(config: PipelineConfig) -> dict[str, str]:
 
 
 def _require(config: PipelineConfig, out_dir: Path, names) -> list[str]:
-    """The files among ``names`` that exist.  A missing file that is not
-    optional raises ``DataError`` naming the stage that writes it."""
+    """The files among ``names`` that exist, of an "a|b" read the first.  A
+    missing file that is not optional raises ``DataError`` naming the stage
+    that writes it."""
     present = []
     for rel in _files(config, names):
         optional = rel.endswith("?")
-        rel = rel.rstrip("?")
+        *first, rel = rel.rstrip("?").split("|")
+        rel = next((r for r in first if (out_dir / r).exists()), rel)
         if (out_dir / rel).exists():
             present.append(rel)
         elif not optional:
@@ -262,19 +271,26 @@ def _load_manifest(out_dir: Path) -> dict:
 
 def _refuse_stale(config: PipelineConfig, out_dir: Path, reads: list[str], sha) -> None:
     """Refuse an input whose writer recorded input hashes that no longer match
-    the files.  A writer that recorded no inputs (``synth``) makes source
+    the files; a store among them is checked in turn against the transactions
+    it stands for.  A writer that recorded no inputs (``synth``) makes source
     data, which may be edited; a file with no manifest entry passes."""
     manifest = _load_manifest(out_dir)
     writers = _writers(config)
-    for rel in reads:
+    queue, seen = list(reads), set(reads)
+    for rel in queue:
         writer = writers[rel]
         recorded = manifest.get(writer, {}).get("inputs", {})
-        for src in _files(config, STAGE_TABLE[writer].reads):
-            src = src.rstrip("?")
-            want = recorded.get(Path(src).name)
-            if want is not None and (not (out_dir / src).exists() or sha(src) != want):
-                raise DataError(f"{rel} is stale: {src} has changed since the "
-                                f"'{writer}' stage ran; re-run the '{writer}' stage")
+        for read in _files(config, _STANDS_FOR.get(rel, STAGE_TABLE[writer].reads)):
+            for src in read.rstrip("?").split("|"):
+                want = recorded.get(Path(src).name)
+                if want is None:
+                    continue
+                if not (out_dir / src).exists() or sha(src) != want:
+                    raise DataError(f"{rel} is stale: {src} has changed since the "
+                                    f"'{writer}' stage ran; re-run the '{writer}' stage")
+                if src in _STANDS_FOR and src not in seen:
+                    seen.add(src)
+                    queue.append(src)
 
 
 def record_stage(out_dir: Path, stage: str, inputs: dict[str, str],
@@ -327,13 +343,21 @@ def stage_synth(config: PipelineConfig, out_dir: Path) -> None:
 
 
 def load_store(config: PipelineConfig, out_dir: Path) -> TxStore:
+    """The store ``ingest`` saved or, before ``ingest`` has run, a parse of
+    the transactions; labelled from the labels file either way."""
     labels = load_labels(out_dir / config.data.labels)
+    if (out_dir / _STORE).exists():
+        return TxStore.load(out_dir / _STORE, labels)
     return parse_transactions_file(out_dir / config.data.transactions, labels)
 
 
 @_stage
 def stage_ingest(config: PipelineConfig, out_dir: Path) -> dict:
-    store = load_store(config, out_dir)
+    """Parse the transactions once; save the store for ``paths`` and
+    ``features`` and report what the parse rejected."""
+    store = parse_transactions_file(out_dir / config.data.transactions,
+                                    load_labels(out_dir / config.data.labels))
+    store.save(out_dir / _STORE)
     report = {
         "transactions": len(store),
         "addresses": len(store.addresses()),
@@ -394,9 +418,8 @@ def stage_paths(config: PipelineConfig, out_dir: Path) -> None:
 _WORKER_STATE: dict = {}
 
 
-def _feature_worker_init(tx_path, labels_path, hours, params):
-    labels = load_labels(labels_path)
-    _WORKER_STATE["store"] = parse_transactions_file(tx_path, labels)
+def _feature_worker_init(open_store, hours, params):
+    _WORKER_STATE["store"] = open_store()
     _WORKER_STATE["hours"] = hours
     _WORKER_STATE["params"] = params
 
@@ -409,12 +432,13 @@ def _feature_worker(batch: list[str]) -> list[FeatureTimeline]:
 
 def iter_timelines(store: TxStore, addresses: list[str], hours: int,
                    params: PathParams, jobs: int = 1,
-                   tx_path=None, labels_path=None) -> Iterator[FeatureTimeline]:
+                   open_store=None) -> Iterator[FeatureTimeline]:
     """Per-address feature timelines, optionally built across worker
     processes, yielded one at a time in input order whatever the worker count.
 
     With a fork start method the workers inherit the already-built store
-    copy-on-write; otherwise they re-open the transaction file.  The workers
+    copy-on-write; otherwise each builds it again with ``open_store``, a
+    callable that pickles, such as a ``functools.partial``.  The workers
     live as long as the generator: an error in a worker, or closing the
     generator, cancels the batches not yet started and waits for the running
     ones, so no worker is killed while it holds the result queue.
@@ -432,11 +456,11 @@ def iter_timelines(store: TxStore, addresses: list[str], hours: int,
         if "fork" in mp.get_all_start_methods():
             _WORKER_STATE.update(store=store, hours=hours, params=params)
             executor = ProcessPoolExecutor(jobs, mp_context=mp.get_context("fork"))
-        elif tx_path is None:
-            raise DataError("parallel timeline building requires file paths")
+        elif open_store is None:
+            raise DataError("parallel timeline building requires open_store")
         else:
             executor = ProcessPoolExecutor(jobs, initializer=_feature_worker_init,
-                                           initargs=(tx_path, labels_path, hours, params))
+                                           initargs=(open_store, hours, params))
         batches = [addresses[i:i + chunk] for i in range(0, len(addresses), chunk)]
         # Each timeline leaves its batch as it is yielded, so the caller
         # alone decides how long it stays alive.
@@ -469,8 +493,7 @@ def stage_features(config: PipelineConfig, out_dir: Path, jobs: int = 1) -> dict
 
     def timelines():
         for tl in iter_timelines(store, addresses, config.hours, config.paths.params(), jobs,
-                                 tx_path=out_dir / config.data.transactions,
-                                 labels_path=out_dir / config.data.labels):
+                                 open_store=functools.partial(load_store, config, out_dir)):
             if tl.truncated:
                 truncated.append(tl.address)
             yield tl

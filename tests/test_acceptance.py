@@ -6,6 +6,7 @@ On hosts with fewer usable physical cores it is skipped, and the skip reason
 gives the count found; on larger hosts it runs and fails with the measured
 numbers if the speedup is below 4x.
 """
+import functools
 import json
 import os
 import time
@@ -384,8 +385,8 @@ def test_criterion_10b_parallel_speedup(benchmark_universe):
     t_single = time.perf_counter() - t0
     t0 = time.perf_counter()
     list(iter_timelines(store, addresses, 24, PathParams(), jobs=8,
-                        tx_path=out / "transactions.jsonl",
-                        labels_path=out / "labels.csv"))
+                        open_store=functools.partial(parse_transactions_file,
+                                                     out / "transactions.jsonl", store.labels)))
     t_parallel = time.perf_counter() - t0
     speedup = t_single / t_parallel
     report("criterion 10b (8-worker speedup >= 4x)",

@@ -1,7 +1,10 @@
 import dataclasses
 import gc
 import json
+import tempfile
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ from chainsentry.errors import DataError
 from chainsentry.features import ADDRESS_FEATURES, _AddressEvents, address_features
 from chainsentry.paths import path_sets_for_address
 from conftest import HOUR, T0, tx
-from oracles import (agg_inputs, bulk_chain_records, children, expand_pairs,
+from oracles import (_address_names, agg_inputs, bulk_chain_records, children, expand_pairs,
                      random_dag_records, reference_indexes, store_indexes, total_input,
                      tx_id, tx_ids, tx_stats)
 
@@ -243,12 +246,33 @@ def test_ambiguous_amount_match_is_counted_and_keeps_the_first_owner():
 _INDEXES = ("txs", "agg_in", "children", "receives", "spends")
 
 
+def _reloaded(store):
+    """``store`` saved, then loaded back with its labels."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "store.npz"
+        store.save(path)
+        return TxStore.load(path, store.labels)
+
+
+def _assert_same_store(got, want):
+    """Equal indexes, transactions, names and hot-reader columns."""
+    assert store_indexes(got) == store_indexes(want)  # holds tx(t) for every t
+    assert tx_ids(got) == tx_ids(want)
+    assert _address_names(got) == _address_names(want)
+    assert got.addresses() == want.addresses()
+    for column in ("time", "stats", "agg_ptr", "agg_src", "agg_amt",
+                   "child_ptr", "child_tx", "child_amt"):
+        assert getattr(got, column).tolist() == getattr(want, column).tolist(), column
+    assert got.labels == want.labels
+
+
 def _assert_store_matches_reference(records):
     store = TxStore.from_records(records)
     ref = reference_indexes(records)
     got = store_indexes(store)
     for name in _INDEXES:
         assert got[name] == ref[name], name
+    _assert_same_store(_reloaded(store), store)
     assert store.report.warnings == ref["warnings"]
     assert store.report.boundary_inputs == ref["boundary_inputs"]
     for name, rec in ref["txs"].items():
@@ -282,6 +306,49 @@ def _assert_store_matches_reference(records):
 ])
 def test_store_indexes_match_the_two_pass_reference(records):
     _assert_store_matches_reference(records)
+
+
+def test_loaded_store_equals_the_parsed_one(tmp_path):
+    # Names outside ASCII, a lone surrogate (which JSON can carry) and an
+    # empty store all survive the round trip.
+    lines = [json.dumps(rec) for rec in (
+        {"txid": "t\u00e9", "time": T0, "inputs": [],
+         "outputs": [{"addr": "\ud800a", "amount": 5}, {"addr": "b\U0001f600", "amount": 2}]},
+        {"txid": "t2", "time": T0 + 9, "inputs": [{"src": "t\u00e9", "amount": 5}],
+         "outputs": [{"addr": "c", "amount": 5}]},
+        {"txid": "t3", "time": T0 + 5, "inputs": [{"src": "ghost", "amount": 1}],
+         "outputs": [{"addr": "c", "amount": 1}]},
+    )]
+    for store in (parse_transactions(lines, labels={"c": 1}), parse_transactions([])):
+        path = tmp_path / "store.npz"
+        store.save(path)
+        loaded = TxStore.load(path, store.labels)
+        _assert_same_store(loaded, store)
+        assert loaded.report.warnings == [] and loaded.report.n_lines == 0
+
+
+def test_two_saves_of_one_store_are_byte_identical(tmp_path, monkeypatch):
+    store = TxStore.from_records(bulk_chain_records(300, seed=4), labels={"a": 1})
+    store.save(tmp_path / "one.npz")
+    # Any wall-clock time that leaked into the archive would differ here.
+    monkeypatch.setattr(time, "time", lambda: 2_000_000_000.0)
+    store.save(tmp_path / "two.npz")
+    assert (tmp_path / "one.npz").read_bytes() == (tmp_path / "two.npz").read_bytes()
+    _reloaded(_reloaded(store)).save(tmp_path / "three.npz")
+    assert (tmp_path / "three.npz").read_bytes() == (tmp_path / "one.npz").read_bytes()
+
+
+def test_load_refuses_a_file_that_is_not_a_store(tmp_path):
+    path = tmp_path / "store.npz"
+    path.write_bytes(b"not a zip")
+    with pytest.raises(DataError, match="is not a transaction store"):
+        TxStore.load(path)
+    np.savez(path, format=np.array([99]))
+    with pytest.raises(DataError, match="store format"):
+        TxStore.load(path)
+    np.savez(path, format=np.array([1]))
+    with pytest.raises(DataError, match="is not a transaction store"):
+        TxStore.load(path)
 
 
 def test_store_indexes_match_the_two_pass_reference_on_random_dags():

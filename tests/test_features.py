@@ -1,8 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chainsentry import features
 from chainsentry.chain import TxStore
+from chainsentry.errors import DataError
 from chainsentry.features import (ADDRESS_FEATURES, FULL_SCHEMA, PATH_SET_NAMES,
                                   SEED_SCHEMA, SCHEMA_HASH, FeatureTimeline,
                                   _AddressEvents, _SetTracker, address_features,
@@ -281,10 +285,10 @@ def test_set_tracker_aggregate_follows_interleaved_adds(chain_store):
         tracker.add(chain_store, batch)
         sizes.append(len(tracker))
     assert sizes == [0, 1, 1, 1 + len(ps.paths), 1 + len(ps.paths), 2 + len(ps.paths)]
-    rows = tracker.rows
+    rows = features._stack_rows(tracker.row_list)
     want = path_features(chain_store, [ps.paths[0], *ps.paths, ps.paths[-1]])[0]
     assert np.array_equal(rows, want)
-    got = aggregate_path_set(rows, sizes)
+    got = aggregate_path_set(rows, np.array([sizes]), (0,))[0]
     assert got.shape == (len(sizes), 49) and not got[0].any()
     for n, vec in zip(sizes, got):
         assert np.array_equal(_bits(vec), _bits(reference_aggregate(rows[:n])))
@@ -306,11 +310,94 @@ def test_aggregate_prefixes_match_per_prefix_reference(rng, monkeypatch, block_r
             rows[:, :4] = -0.0
         sizes = rng.integers(0, n + 1, size=int(rng.integers(1, 30)))
         sizes = np.concatenate([sizes, [0, n, n]])
-        got = aggregate_path_set(rows, sizes)
+        got = aggregate_path_set(rows, sizes[None], (0,))[0]
         assert got.shape == (sizes.size, 49)
         for size, vec in zip(sizes.tolist(), got):
             assert np.array_equal(_bits(vec), _bits(reference_aggregate(rows[:size]))), (case, size)
         assert np.array_equal(_bits(aggregate_path_set(rows)), _bits(reference_aggregate(rows)))
+
+
+def _assert_stacked_sets_match_per_set_calls(sets, sizes):
+    """One call over ``sets`` stacked gives, for each (set, size), the bits
+    of a call on that set's first ``size`` rows, and of the reference."""
+    rows = np.concatenate([np.empty((0, 12)), *sets])
+    starts = np.cumsum([0, *(len(s) for s in sets[:-1])])
+    got = aggregate_path_set(rows, sizes, starts)
+    assert got.shape == (*sizes.shape, 49)
+    for j, set_rows in enumerate(sets):
+        for k, n in enumerate(sizes[j].tolist()):
+            want = aggregate_path_set(set_rows[:n])
+            assert np.array_equal(_bits(got[j, k]), _bits(want)), (j, n)
+            assert np.array_equal(_bits(want), _bits(reference_aggregate(set_rows[:n]))), (j, n)
+
+
+_POOL = [0.0, -0.0, 1.0, 0.1, 0.2, 0.3, 1e16, -3.5, 7 / 3, 5e-324, 2.0**53]
+
+
+@st.composite
+def _stacked_sets(draw):
+    hours = draw(st.integers(1, 8))
+    sets, sizes = [], []
+    for _ in range(draw(st.integers(1, 5))):
+        n = draw(st.integers(0, 30))
+        values = draw(st.lists(st.sampled_from(_POOL), min_size=12 * n, max_size=12 * n))
+        rows = np.array(values, dtype=np.float64).reshape(n, 12)
+        if n and draw(st.booleans()):
+            rows[:draw(st.integers(1, n))] = -0.0  # an all -0.0 prefix
+        sets.append(rows)
+        sizes.append(draw(st.lists(st.integers(0, n), min_size=hours, max_size=hours)))
+    return sets, np.array(sizes, dtype=np.intp), draw(st.sampled_from([2048, 1, 7, 40]))
+
+
+@settings(deadline=None, max_examples=150)
+@given(_stacked_sets())
+def test_stacked_aggregate_matches_one_call_per_set(case):
+    sets, sizes, block_rows = case
+    with mock.patch.object(features, "_STD_BLOCK_ROWS", block_rows):
+        _assert_stacked_sets_match_per_set_calls(sets, sizes)
+
+
+def test_stacked_aggregate_edge_sets(rng):
+    # An empty set between two others, an all -0.0 set, and a set longer
+    # than one std block, whose prefixes are each worked alone.
+    big = rng.choice(_POOL, size=(features._STD_BLOCK_ROWS + 37, 12))
+    sets = [rng.normal(size=(5, 12)), np.empty((0, 12)), np.full((4, 12), -0.0), big]
+    sizes = np.array([[0, 3, 5, 5], [0, 0, 0, 0], [1, 2, 4, 4],
+                      [1, 2048, 2049, len(big)]], dtype=np.intp)
+    _assert_stacked_sets_match_per_set_calls(sets, sizes)
+    assert not aggregate_path_set(np.empty((0, 12)), np.zeros((3, 2), dtype=np.intp),
+                                  [0, 0, 0]).any()
+
+
+def _huge_receives(times=(T0, T0 + 1, T0 + 2)):
+    """Three receives of ``2**62`` to ``a``: each fits int64, their sum does not."""
+    return TxStore.from_records([tx(f"huge{k}", t, [], [("a", 2**62)])
+                                 for k, t in enumerate(times)])
+
+
+@pytest.mark.parametrize("build", [feature_timeline, feature_timeline_rebuilt],
+                         ids=["feature_timeline", "feature_timeline_rebuilt"])
+def test_timelines_refuse_sums_past_int64(build):
+    with pytest.raises(DataError, match="amounts sum past 2\\*\\*63 - 1"):
+        build(_huge_receives(), "a")
+
+
+def test_address_features_events_refuse_sums_past_int64():
+    # address_features reads its events from collect, which refuses them;
+    # one of the receives alone still fits.
+    with pytest.raises(DataError, match="amounts sum past 2\\*\\*63 - 1"):
+        _AddressEvents.collect(_huge_receives(), "a")
+    events = _AddressEvents.collect(_huge_receives((T0,)), "a")
+    assert address_features(events, T0 + HOUR)[0] == 2.0**62
+
+
+@pytest.mark.parametrize("build", [feature_timeline, feature_timeline_rebuilt],
+                         ids=["feature_timeline", "feature_timeline_rebuilt"])
+def test_timelines_refuse_a_window_past_int64(build):
+    store = TxStore.from_records([tx("late", 2**63 - 10 * HOUR, [], [("a", 1)])])
+    with pytest.raises(DataError, match="feature window ends past 2\\*\\*63 - 1"):
+        build(store, "a", 24)
+    assert build(store, "a", 9).matrix[-1, 0] == 1.0
 
 
 def _dag_addresses(store, rng, k):
@@ -355,21 +442,24 @@ def test_timeline_aggregates_each_set_once_per_change(monkeypatch):
     store, labels = _seed13_universe()
     calls = []
 
-    def counted(rows, sizes=None):
-        calls.append((rows.shape[0], None if sizes is None else np.asarray(sizes)))
-        return aggregate_path_set(rows, sizes)
+    def counted(rows, sizes=None, starts=None):
+        calls.append((rows, np.asarray(sizes), np.asarray(starts)))
+        return aggregate_path_set(rows, sizes, starts)
 
     monkeypatch.setattr(features, "aggregate_path_set", counted)
     count_cols = [FULL_SCHEMA.index(f"{name}__path_count") for name in PATH_SET_NAMES]
     for address in sorted(labels):
         calls.clear()
         tl = feature_timeline(store, address)
-        # One call per set covers all hours; its row counts are the set's
-        # path count per hour, so each change is one distinct size.
-        assert len(calls) == len(PATH_SET_NAMES), address
-        for (n_rows, sizes), col in zip(calls, count_cols):
-            assert sizes.shape == (tl.hours,) and n_rows == sizes[-1], address
-            assert np.array_equal(sizes, tl.matrix[:, col]), address
+        # One call covers the four sets and all hours; each set's row counts
+        # are its path count per hour, so each change is one distinct size,
+        # and the sets are stacked in order, each as long as its last count.
+        assert len(calls) == 1, address
+        rows, sizes, starts = calls[0]
+        assert sizes.shape == (len(PATH_SET_NAMES), tl.hours), address
+        assert np.array_equal(sizes, tl.matrix[:, count_cols].T), address
+        assert starts.tolist() == np.cumsum([0, *sizes[:-1, -1]]).tolist(), address
+        assert rows.shape == (sizes[:, -1].sum(), 12), address
 
 
 def test_forward_extends_outside_build_all_add_paths(monkeypatch):

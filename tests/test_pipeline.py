@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import multiprocessing
@@ -10,9 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chainsentry import pipeline
+from chainsentry import chain, pipeline
 from chainsentry.chain import load_labels
 from chainsentry.errors import ConfigError, DataError, NotFoundError
+from chainsentry.features import feature_timeline
 from chainsentry.pipeline import (STAGES, PipelineConfig, SequenceContext, load_config,
                                   read_predictions, run_pipeline,
                                   stage_features, stage_ingest, stage_paths,
@@ -224,6 +226,7 @@ def test_manifest_lists_every_path_dump(tmp_path):
         {"kind": "exchange", "count": 40}, {"kind": "merchant", "count": 15},
     ]}})
     stage_synth(cfg, tmp_path)
+    stage_ingest(cfg, tmp_path)
     stage_paths(cfg, tmp_path)
     dumps = sorted(p.name for p in (tmp_path / "paths").glob("*.jsonl"))
     assert len(dumps) > 50
@@ -243,6 +246,7 @@ def test_manifest_tracks_hashes(small_run):
 def test_parallel_features_match_serial(tmp_path):
     cfg = load_config(SMALL)
     stage_synth(cfg, tmp_path)
+    stage_ingest(cfg, tmp_path)
     stage_features(cfg, tmp_path, jobs=1)
     serial = (tmp_path / "features" / "features.csv").read_bytes()
     stage_features(cfg, tmp_path, jobs=2)
@@ -250,9 +254,33 @@ def test_parallel_features_match_serial(tmp_path):
     assert serial == parallel
 
 
+def test_spawned_workers_load_the_saved_store(tmp_path, monkeypatch):
+    cfg = load_config(SMALL)
+    stage_synth(cfg, tmp_path)
+    stage_ingest(cfg, tmp_path)
+    want = pipeline.load_store(cfg, tmp_path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the transactions were parsed again")
+
+    monkeypatch.setattr(pipeline, "parse_transactions_file", refuse)
+    monkeypatch.setattr(chain, "parse_transactions_file", refuse)
+    params = cfg.paths.params()
+    try:
+        pipeline._feature_worker_init(functools.partial(pipeline.load_store, cfg, tmp_path),
+                                      cfg.hours, params)
+        address = sorted(want.labels)[0]
+        got = pipeline._feature_worker([address])[0]
+    finally:
+        pipeline._WORKER_STATE.clear()
+    assert got.label == want.labels[address]
+    assert np.array_equal(got.matrix, feature_timeline(want, address, cfg.hours, params).matrix)
+
+
 def _synth_small(out):
     cfg = load_config(SMALL)
     stage_synth(cfg, out)
+    stage_ingest(cfg, out)
     return cfg
 
 
@@ -373,6 +401,7 @@ def _resynth(small_run, tmp_path):
     shutil.copytree(out, copy)
     cfg = load_config({**SMALL, "seed": 8})
     stage_synth(cfg, copy)
+    stage_ingest(cfg, copy)
     return cfg, copy
 
 
@@ -380,6 +409,34 @@ def test_new_transactions_make_old_features_stale(small_run, tmp_path):
     cfg, copy = _resynth(small_run, tmp_path)
     with pytest.raises(DataError, match="features.csv is stale.*re-run the 'features' stage"):
         stage_train(cfg, copy)
+
+
+def test_new_transactions_make_the_old_store_stale(small_run, tmp_path):
+    cfg, out = small_run
+    copy = tmp_path / "copy"
+    shutil.copytree(out, copy)
+    stage_synth(load_config({**SMALL, "seed": 8}), copy)
+    # The stages after features read the store's age through features.csv.
+    for stage in (stage_features, stage_paths, stage_select, stage_train):
+        with pytest.raises(DataError, match="store.npz is stale: transactions.jsonl has "
+                                            "changed.*re-run the 'ingest' stage"):
+            stage(cfg, copy)
+
+
+def test_features_and_paths_without_a_store_parse_the_transactions(small_run, tmp_path):
+    # Straight after synth there is no store: the two stages parse the
+    # transactions and write what they write from the saved store.
+    cfg, out = small_run
+    stage_synth(cfg, tmp_path)
+    stage_paths(cfg, tmp_path)
+    stage_features(cfg, tmp_path)
+    assert not (tmp_path / "store.npz").exists()
+    for rel in ("features/features.csv", "features/features_report.json"):
+        assert (tmp_path / rel).read_bytes() == (out / rel).read_bytes(), rel
+    dumps = sorted(p.name for p in (out / "paths").iterdir())
+    assert sorted(p.name for p in (tmp_path / "paths").iterdir()) == dumps
+    for name in dumps:
+        assert (tmp_path / "paths" / name).read_bytes() == (out / "paths" / name).read_bytes()
 
 
 def test_new_features_make_the_old_selection_stale(small_run, tmp_path):
